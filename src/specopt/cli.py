@@ -160,6 +160,8 @@ def cmd_specgrad(args) -> int:
         point = np.array([float(tok) for tok in args.point.split(",") if tok.strip()])
         if point.size != obj.dimension:
             raise ValueError(f"{args.function} expects {obj.dimension} coordinates, got {point.size}")
+        if not np.isfinite(point).all():
+            raise ValueError(f"coordinates must be finite, got {args.point}")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

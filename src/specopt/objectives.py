@@ -2,7 +2,9 @@
 
 Every member exposes ``value(x)``, ``one_sided(x, v) -> OneSidedPair`` and a
 ``dimension``; the matrix-backed objectives additionally provide the
-vectorized ``one_sided_basis(x)`` hook consumed by the gradient assembly.
+vectorized ``one_sided_basis(x)`` hook consumed by the gradient assembly,
+and the elastic net also ``value_and_one_sided_basis(x)``, which the
+optimizers use to get both from one residual.
 The absolute-value penalty contributes, per coordinate i,
 
     d+(x_i, v_i) = sign(x_i) v_i  if x_i != 0  else |v_i|
@@ -39,6 +41,47 @@ def _abs_kink_terms(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     plus = float(np.where(zero, np.abs(v), signed).sum())
     minus = float(np.where(zero, -np.abs(v), signed).sum())
     return plus, minus
+
+
+# The objectives below share one shape, smooth part + lambda1 ||x||_1; these
+# helpers add the penalty to the value, the gradient g of the smooth part
+# along v, or g along every e_i.
+
+def _l1_value(smooth, x: np.ndarray, lambda1: float) -> float:
+    return float(smooth + lambda1 * np.abs(x).sum())
+
+
+def _l1_one_sided(g: np.ndarray, x: np.ndarray, v: np.ndarray, lambda1: float) -> OneSidedPair:
+    gv = float(g @ v)
+    if lambda1 == 0.0:
+        return OneSidedPair(gv, gv)
+    kink_plus, kink_minus = _abs_kink_terms(x, v)
+    return OneSidedPair(gv + lambda1 * kink_plus, gv + lambda1 * kink_minus)
+
+
+def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
+    if lambda1 == 0.0:
+        return g, g.copy()
+    plus = g + lambda1 * np.sign(x)
+    zero = x == 0.0
+    if not zero.any():
+        return plus, plus.copy()
+    minus = plus.copy()
+    plus[zero] = g[zero] + lambda1
+    minus[zero] = g[zero] - lambda1
+    return plus, minus
+
+
+def _check_dim(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected a vector of dimension {n}, got shape {x.shape}")
+    return x
+
+
+def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) -> np.ndarray:
+    """Smooth gradient a (a.x - b_j) + lambda2 x of one sample term."""
+    return a * (float(a @ x) - bj) + lambda2 * x
 
 
 @dataclass(frozen=True)
@@ -79,42 +122,39 @@ class ElasticNetProblem:
     def dimension(self) -> int:
         return self.A.shape[1]
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of dimension {self.n}, got shape {x.shape}")
-        return x
+    def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
+        return _l1_value(0.5 * (r @ r) / self.m + 0.5 * self.lambda2 * (x @ x), x, self.lambda1)
+
+    def _smooth_gradient_at(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        return self.A.T @ r / self.m + self.lambda2 * x
 
     def value(self, x) -> float:
-        x = self._check_dim(x)
-        r = self.A @ x - self.b
-        return float(0.5 * (r @ r) / self.m + 0.5 * self.lambda2 * (x @ x)
-                     + self.lambda1 * np.abs(x).sum())
+        x = _check_dim(x, self.n)
+        return self._value_at(x, self.A @ x - self.b)
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Gradient of the differentiable part: A^T (A x - b) / m + lambda2 x."""
-        x = self._check_dim(x)
-        return self.A.T @ (self.A @ x - self.b) / self.m + self.lambda2 * x
+        x = _check_dim(x, self.n)
+        return self._smooth_gradient_at(x, self.A @ x - self.b)
 
     def one_sided(self, x, v) -> OneSidedPair:
-        x = self._check_dim(x)
-        v = self._check_dim(v)
-        gv = float(self.smooth_gradient(x) @ v)
-        if self.lambda1 == 0.0:
-            return OneSidedPair(gv, gv)
-        kink_plus, kink_minus = _abs_kink_terms(x, v)
-        return OneSidedPair(gv + self.lambda1 * kink_plus, gv + self.lambda1 * kink_minus)
+        x = _check_dim(x, self.n)
+        return _l1_one_sided(self.smooth_gradient(x), x, _check_dim(v, self.n), self.lambda1)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
-        g = self.smooth_gradient(x)
-        if self.lambda1 == 0.0:
-            return g, g.copy()
-        zero = x == 0.0
-        sgn = np.sign(x)
-        plus = g + self.lambda1 * np.where(zero, 1.0, sgn)
-        minus = g + self.lambda1 * np.where(zero, -1.0, sgn)
-        return plus, minus
+        x = _check_dim(x, self.n)
+        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
+
+    def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """(value(x), one_sided_basis(x)) from one residual A x - b.
+
+        Two products with A instead of the three that separate calls make;
+        both results are bit-identical to the separate calls.
+        """
+        x = _check_dim(x, self.n)
+        r = self.A @ x - self.b
+        return self._value_at(x, r), _l1_one_sided_basis(self._smooth_gradient_at(x, r), x, self.lambda1)
 
     def component(self, j: int) -> "ElasticNetComponent":
         """Sample term f_j (0-based j) with the shared regularizers.
@@ -122,9 +162,19 @@ class ElasticNetProblem:
         f_j(x) = (a_j . x - b_j)^2 / 2 + (lambda2 / 2) ||x||^2 + lambda1 ||x||_1,
         so that the mean of the components reproduces value() exactly.
         """
+        self._check_index(j)
+        return ElasticNetComponent(self.A[j], float(self.b[j]), self.lambda1, self.lambda2)
+
+    def component_one_sided_basis(self, j: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """component(j).one_sided_basis(x), read off row j of A without building the component."""
+        self._check_index(j)
+        x = _check_dim(x, self.n)
+        g = _sample_gradient(self.A[j], float(self.b[j]), self.lambda2, x)
+        return _l1_one_sided_basis(g, x, self.lambda1)
+
+    def _check_index(self, j: int) -> None:
         if not 0 <= j < self.m:
             raise IndexError(f"component index {j} out of range for m={self.m}")
-        return ElasticNetComponent(self.A[j], float(self.b[j]), self.lambda1, self.lambda2)
 
 
 @dataclass(frozen=True)
@@ -141,31 +191,20 @@ class ElasticNetComponent:
         return self.a.shape[0]
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+        x = _check_dim(x, self.dimension)
         r = float(self.a @ x) - self.bj
-        return float(0.5 * r * r + 0.5 * self.lambda2 * (x @ x) + self.lambda1 * np.abs(x).sum())
+        return _l1_value(0.5 * r * r + 0.5 * self.lambda2 * (x @ x), x, self.lambda1)
 
     def smooth_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.a * (float(self.a @ x) - self.bj) + self.lambda2 * x
+        return _sample_gradient(self.a, self.bj, self.lambda2, _check_dim(x, self.dimension))
 
     def one_sided(self, x, v) -> OneSidedPair:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        gv = float(self.smooth_gradient(x) @ v)
-        if self.lambda1 == 0.0:
-            return OneSidedPair(gv, gv)
-        kink_plus, kink_minus = _abs_kink_terms(x, v)
-        return OneSidedPair(gv + self.lambda1 * kink_plus, gv + self.lambda1 * kink_minus)
+        x = _check_dim(x, self.dimension)
+        return _l1_one_sided(self.smooth_gradient(x), x, _check_dim(v, self.dimension), self.lambda1)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        g = self.smooth_gradient(x)
-        if self.lambda1 == 0.0:
-            return g, g.copy()
-        zero = x == 0.0
-        sgn = np.sign(x)
-        return g + self.lambda1 * np.where(zero, 1.0, sgn), g + self.lambda1 * np.where(zero, -1.0, sgn)
+        x = _check_dim(x, self.dimension)
+        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
 
 
 def sum_abs(n: int) -> ElasticNetProblem:
@@ -212,28 +251,18 @@ class DiagonalLasso:
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(np.sum(0.5 * self.d * (x - self.b) ** 2) + self.lambda1 * np.abs(x).sum())
+        return _l1_value(np.sum(0.5 * self.d * (x - self.b) ** 2), x, self.lambda1)
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (np.asarray(x, dtype=float) - self.b)
 
     def one_sided(self, x, v) -> OneSidedPair:
         x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        gv = float(self.smooth_gradient(x) @ v)
-        if self.lambda1 == 0.0:
-            return OneSidedPair(gv, gv)
-        kink_plus, kink_minus = _abs_kink_terms(x, v)
-        return OneSidedPair(gv + self.lambda1 * kink_plus, gv + self.lambda1 * kink_minus)
+        return _l1_one_sided(self.smooth_gradient(x), x, np.asarray(v, dtype=float), self.lambda1)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        g = self.smooth_gradient(x)
-        if self.lambda1 == 0.0:
-            return g, g.copy()
-        zero = x == 0.0
-        sgn = np.sign(x)
-        return g + self.lambda1 * np.where(zero, 1.0, sgn), g + self.lambda1 * np.where(zero, -1.0, sgn)
+        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
 
     def minimizer(self) -> np.ndarray:
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)

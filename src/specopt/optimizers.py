@@ -11,13 +11,12 @@ tracked separately.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import ElasticNetProblem
-from .specular import HypothesisViolationError, specular_gradient
+from .specular import HypothesisViolationError, specular_from_one_sided_array, specular_gradient
 
 DEFAULT_ETA = 1e-12
 
@@ -77,7 +76,6 @@ class RunRecord:
     f_current: np.ndarray
     f_best: np.ndarray
     grad_norm: np.ndarray
-    wall_time_ms: np.ndarray
     status: str
     x_best: np.ndarray
     h_trace: np.ndarray
@@ -90,30 +88,26 @@ class RunRecord:
         return float(self.f_best[-1])
 
 
-def _run_loop(value_fn, direction_fn, sched: StepSchedule, x0, max_iters: int, eta: float) -> RunRecord:
-    """Shared iteration engine.  direction_fn(k, x) -> (step_vector, grad_norm)."""
+def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> RunRecord:
+    """Shared iteration engine.  evaluate(k, x) -> (f(x), step_vector, grad_norm).
+
+    A step of None with an infinite norm marks an iterate whose gradient
+    could not be assembled; the run then stops as a numerical failure.
+    """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     x = np.array(x0, dtype=float, copy=True)
-    start = time.perf_counter()
     ks: list[int] = []
     fc: list[float] = []
     fb: list[float] = []
     gn: list[float] = []
-    wt: list[float] = []
     h_trace: list[float] = []
     f_best = math.inf
     x_best = x.copy()
     status = "max_iters"
     k = 0
     while True:
-        try:
-            g, gnorm = direction_fn(k, x)
-        except HypothesisViolationError:
-            # the iterate diverged far enough to promote a smooth slope to
-            # infinity; report the run as failed, keeping the record so far
-            g, gnorm = None, math.inf
-        f = value_fn(x)
+        f, g, gnorm = evaluate(k, x)
         if f < f_best:
             f_best = f
             x_best = x.copy()
@@ -121,7 +115,6 @@ def _run_loop(value_fn, direction_fn, sched: StepSchedule, x0, max_iters: int, e
         fc.append(f)
         fb.append(f_best)
         gn.append(gnorm)
-        wt.append((time.perf_counter() - start) * 1e3)
         if not (math.isfinite(f) and math.isfinite(gnorm)):
             status = "numerical_failure"
             break
@@ -140,11 +133,44 @@ def _run_loop(value_fn, direction_fn, sched: StepSchedule, x0, max_iters: int, e
         f_current=np.asarray(fc),
         f_best=np.asarray(fb),
         grad_norm=np.asarray(gn),
-        wall_time_ms=np.asarray(wt),
         status=status,
         x_best=x_best,
         h_trace=np.asarray(h_trace),
     )
+
+
+def _assembled(assemble, *args):
+    """assemble(*args), or None where the one-sided values are both infinite with one sign.
+
+    That happens once an iterate has diverged far enough to promote a smooth
+    slope to infinity; the loop then reports the run as failed, keeping the
+    record so far.
+    """
+    try:
+        return assemble(*args)
+    except HypothesisViolationError:
+        return None
+
+
+def _gradient_oracle(obj):
+    """x -> (f(x), specular gradient at x or None), from one residual where obj allows."""
+    fused = getattr(obj, "value_and_one_sided_basis", None)
+    if fused is None:
+        def oracle(x):
+            g = _assembled(specular_gradient, obj, x)
+            return float(obj.value(x)), g
+    else:
+        def oracle(x):
+            f, (plus, minus) = fused(x)
+            return f, _assembled(specular_from_one_sided_array, plus, minus)
+    return oracle
+
+
+def _gradient_step(f: float, g):
+    """(f, g, ||g||) for a step along g itself."""
+    if g is None:
+        return f, None, math.inf
+    return f, g, float(np.linalg.norm(g))
 
 
 def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_ETA) -> RunRecord:
@@ -154,12 +180,8 @@ def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_
     point; with a gradient-normalized schedule this also avoids dividing by
     zero).
     """
-
-    def direction(k, x):
-        g = specular_gradient(obj, x)
-        return g, float(np.linalg.norm(g))
-
-    return _run_loop(lambda x: float(obj.value(x)), direction, sched, x0, max_iters, eta)
+    oracle = _gradient_oracle(obj)
+    return _run_loop(lambda k, x: _gradient_step(*oracle(x)), sched, x0, max_iters, eta)
 
 
 def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
@@ -179,17 +201,36 @@ def adam_run(obj, x0, lr: float, max_iters: int,
     x0 = np.asarray(x0, dtype=float)
     moment = np.zeros_like(x0)
     second = np.zeros_like(x0)
+    oracle = _gradient_oracle(obj)
 
-    def direction(k, x):
+    def evaluate(k, x):
         nonlocal moment, second
-        g = specular_gradient(obj, x)
+        f, g = oracle(x)
+        if g is None:
+            return f, None, math.inf
         moment = beta1 * moment + (1.0 - beta1) * g
         second = beta2 * second + (1.0 - beta2) * g * g
         m_hat = moment / (1.0 - beta1 ** (k + 1))
         v_hat = second / (1.0 - beta2 ** (k + 1))
-        return m_hat / (np.sqrt(v_hat) + eps), float(np.linalg.norm(g))
+        return f, m_hat / (np.sqrt(v_hat) + eps), float(np.linalg.norm(g))
 
-    return _run_loop(lambda x: float(obj.value(x)), direction, StepSchedule.constant(lr), x0, max_iters, eta=0.0)
+    return _run_loop(evaluate, StepSchedule.constant(lr), x0, max_iters, eta=0.0)
+
+
+def _stochastic_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: int,
+                    eta: float, rng, switch_k: int) -> RunRecord:
+    """Full specular gradient at iterations k < switch_k, one sampled term's after."""
+    oracle = _gradient_oracle(problem)
+    m = problem.m
+
+    def evaluate(k, x):
+        if k < switch_k:
+            return _gradient_step(*oracle(x))
+        j = int(rng.integers(m))
+        plus, minus = problem.component_one_sided_basis(j, x)
+        return _gradient_step(float(problem.value(x)), _assembled(specular_from_one_sided_array, plus, minus))
+
+    return _run_loop(evaluate, sched, x0, max_iters, eta)
 
 
 def sspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: int,
@@ -203,14 +244,7 @@ def sspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: in
     """
     if rng is None:
         raise ValueError("sspeg_run needs a seeded random generator")
-    m = problem.m
-
-    def direction(k, x):
-        j = int(rng.integers(m))
-        g = specular_gradient(problem.component(j), x)
-        return g, float(np.linalg.norm(g))
-
-    return _run_loop(lambda x: float(problem.value(x)), direction, sched, x0, max_iters, eta)
+    return _stochastic_run(problem, x0, sched, max_iters, eta, rng, switch_k=0)
 
 
 def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int = 10,
@@ -225,22 +259,10 @@ def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int
     if switch_k < 0:
         raise ValueError("switch_k must be nonnegative")
     if switch_k >= max_iters:
-        return speg_run(problem, x0, sched, max_iters, eta)
-    if switch_k == 0:
-        return sspeg_run(problem, x0, sched, max_iters, eta, rng)
-    if rng is None:
+        switch_k = max_iters + 1  # the last row, k = max_iters, stays full as well
+    elif rng is None:
         raise ValueError("hspeg_run needs a seeded random generator")
-    m = problem.m
-
-    def direction(k, x):
-        if k < switch_k:
-            g = specular_gradient(problem, x)
-        else:
-            j = int(rng.integers(m))
-            g = specular_gradient(problem.component(j), x)
-        return g, float(np.linalg.norm(g))
-
-    return _run_loop(lambda x: float(problem.value(x)), direction, sched, x0, max_iters, eta)
+    return _stochastic_run(problem, x0, sched, max_iters, eta, rng, switch_k)
 
 
 @dataclass(frozen=True)

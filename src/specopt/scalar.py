@@ -130,8 +130,8 @@ def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if np.isnan(alpha).any() or np.isnan(beta).any():
-        raise ValueError("slopes must not be NaN")
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("slopes must be finite")
     s = alpha + beta
     e = alpha * beta - 1.0
     r = np.hypot(e, s)

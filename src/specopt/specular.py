@@ -59,11 +59,20 @@ def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
 
 
 def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray, vnorm: float = 1.0) -> np.ndarray:
-    """Vectorized assembly for arrays of one-sided values along unit-scale directions."""
+    """Vectorized assembly for arrays of one-sided values along directions of norm vnorm.
+
+    Where the two one-sided values agree the derivative is the classical one,
+    vnorm * (plus / vnorm); afun_array runs on the kink entries only.
+    """
     plus = np.asarray(plus, dtype=float)
     minus = np.asarray(minus, dtype=float)
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:
-        return vnorm * afun_array(plus / vnorm, minus / vnorm)
+        alpha = np.divide(plus, vnorm, out=np.empty(plus.shape))  # writable even when 0-d
+        beta = minus / vnorm
+        kink = alpha != beta
+        if kink.any():
+            alpha[kink] = afun_array(alpha[kink], beta[kink])
+        return vnorm * alpha
     out = np.empty(plus.shape, dtype=float)
     flat_p, flat_m, flat_o = plus.ravel(), minus.ravel(), out.ravel()
     for i in range(flat_p.size):

@@ -145,6 +145,15 @@ class TestSpecgradCommand:
     def test_dimension_mismatch(self):
         assert main(["specgrad", "abs2d", "1,2,3"]) == 1
 
+    @pytest.mark.parametrize("function,point", [("maxaffine", "nan"), ("abs2d", "1,inf"),
+                                                ("abs2d", "0,-inf"), ("quad", "inf")])
+    def test_non_finite_point_rejected(self, capsys, function, point):
+        assert main(["specgrad", function, point]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestCheckCommand:
     def test_fast_level_passes(self, capsys):

@@ -149,6 +149,58 @@ class TestComponents:
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.0, 0.0)
         with pytest.raises(IndexError):
             p.component(2)
+        with pytest.raises(IndexError):
+            p.component_one_sided_basis(-1, np.zeros(2))
+
+    def test_component_dimension_mismatch(self):
+        p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.5, 0.5)
+        comp = p.component(0)
+        message = "expected a vector of dimension 2, got shape (3,)"
+        with pytest.raises(ValueError) as problem_err:
+            p.value([1.0, 2.0, 3.0])
+        assert str(problem_err.value) == message
+        for call in (lambda: comp.value([1.0, 2.0, 3.0]),
+                     lambda: comp.smooth_gradient([1.0, 2.0, 3.0]),
+                     lambda: comp.one_sided_basis([1.0, 2.0, 3.0]),
+                     lambda: comp.one_sided([1.0, 2.0, 3.0], [1.0, 0.0]),
+                     lambda: comp.one_sided([1.0, 2.0], [1.0, 0.0, 0.0])):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_row_partials_equal_component_bitwise(self):
+        rng = np.random.default_rng(9)
+        p = ElasticNetProblem(rng.standard_normal((6, 5)), rng.standard_normal(6), 0.4, 0.3)
+        x = rng.standard_normal(5)
+        x[[0, 3]] = 0.0
+        for j in range(p.m):
+            plus, minus = p.component_one_sided_basis(j, x)
+            ref_plus, ref_minus = p.component(j).one_sided_basis(x)
+            assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
+
+
+class TestFusedOracle:
+    @pytest.mark.parametrize("lambda1", [0.0, 0.7])
+    def test_equals_separate_calls_bitwise(self, lambda1):
+        rng = np.random.default_rng(12)
+        p = ElasticNetProblem(rng.standard_normal((30, 8)), rng.standard_normal(30), lambda1, 0.9)
+        for trial in range(5):
+            x = rng.standard_normal(8)
+            x[rng.random(8) < 0.4] = 0.0
+            x[trial] = 0.0  # at least one exact zero
+            f, (plus, minus) = p.value_and_one_sided_basis(x)
+            ref_plus, ref_minus = p.one_sided_basis(x)
+            assert f == p.value(x)
+            assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
+            if lambda1 == 0.0:
+                assert np.array_equal(plus, minus)
+            else:
+                assert np.any(plus != minus)
+
+    def test_rejects_wrong_dimension(self):
+        p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.1, 0.1)
+        with pytest.raises(ValueError):
+            p.value_and_one_sided_basis([1.0, 2.0, 3.0])
 
 
 class TestDiagonalLasso:

@@ -93,6 +93,19 @@ class TestSpegRuns:
         assert len(rec) >= 2
         assert np.all(np.isfinite(rec.f_current[:-1]))
 
+    def test_unassemblable_gradient_still_records_value(self):
+        # at x = 2e12 both one-sided partials promote to +inf, so assembly
+        # raises; the row still carries the (finite) objective value
+        p = ElasticNetProblem(np.eye(1), np.zeros(1), 0.5, 0.0)
+        x0 = np.array([2e12])
+        sched = StepSchedule.normalized_diminishing(4.0)
+        for rec in (speg_run(p, x0, sched, 10), adam_run(p, x0, 0.01, 10),
+                    sspeg_run(p, x0, sched, 10, rng=rng_for(1)),
+                    hspeg_run(p, x0, sched, switch_k=3, max_iters=10, rng=rng_for(1))):
+            assert rec.status == "numerical_failure"
+            assert list(rec.f_current) == [p.value(x0)]
+            assert list(rec.grad_norm) == [np.inf]
+
 
 class TestGdAdam:
     def test_gd_single_step(self):
@@ -185,6 +198,100 @@ class TestStochasticRuns:
         b = sspeg_run(p, x0, sched, 40, rng=rng_for(7))
         assert np.array_equal(a.f_current, b.f_current)
         assert np.array_equal(a.x_best, b.x_best)
+
+
+def reference_run(problem, x0, max_iters, eta, gradient, step):
+    """The plain loop: value() and the gradient from specular_gradient as separate calls.
+
+    gradient(k, x) -> g; step(k, g, gnorm) -> the displacement subtracted from x.
+    """
+    x = np.array(x0, dtype=float)
+    f_current, f_best, grad_norm = [], [], []
+    best = np.inf
+    for k in range(max_iters + 1):
+        g = gradient(k, x)
+        gnorm = float(np.linalg.norm(g))
+        f = problem.value(x)
+        best = min(best, f)
+        f_current.append(f)
+        f_best.append(best)
+        grad_norm.append(gnorm)
+        if gnorm <= eta:
+            break
+        x = x - step(k, g, gnorm)
+    return f_current, f_best, grad_norm
+
+
+class TestFusedLoopIdentity:
+    """Every method's record equals, bit for bit, the plain loop over the separate oracle calls."""
+
+    MAX_ITERS = 60
+    SCHED = StepSchedule.normalized_diminishing(4.0)
+
+    def _problem(self):
+        rng = rng_for(21)
+        p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
+        x0 = rng.standard_normal(9)
+        x0[::3] = 0.0  # start on kinks, where the assembly takes the afun branch
+        return p, x0
+
+    def _assert_same(self, rec, ref):
+        assert np.array_equal(rec.f_current, ref[0])
+        assert np.array_equal(rec.f_best, ref[1])
+        assert np.array_equal(rec.grad_norm, ref[2])
+
+    def _scheduled(self, k, g, gnorm):
+        return self.SCHED.step_size(k, gnorm) * g
+
+    def _mixed(self, p, switch_k, rng):
+        def gradient(k, x):
+            if k < switch_k:
+                return specular_gradient(p, x)
+            return specular_gradient(p.component(int(rng.integers(p.m))), x)
+        return gradient
+
+    def test_speg(self):
+        p, x0 = self._problem()
+        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, lambda k, x: specular_gradient(p, x),
+                            self._scheduled)
+        self._assert_same(speg_run(p, x0, self.SCHED, self.MAX_ITERS), ref)
+
+    def test_sspeg(self):
+        p, x0 = self._problem()
+        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, self._mixed(p, 0, rng_for(3)), self._scheduled)
+        self._assert_same(sspeg_run(p, x0, self.SCHED, self.MAX_ITERS, rng=rng_for(3)), ref)
+
+    @pytest.mark.parametrize("switch_k", [0, 1, 10, 60, 61, 500])
+    def test_hspeg(self, switch_k):
+        p, x0 = self._problem()
+        if switch_k >= self.MAX_ITERS:  # the full method throughout, the last row included
+            gradient = self._mixed(p, self.MAX_ITERS + 1, None)
+        else:
+            gradient = self._mixed(p, switch_k, rng_for(4))
+        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, gradient, self._scheduled)
+        rec = hspeg_run(p, x0, self.SCHED, switch_k=switch_k, max_iters=self.MAX_ITERS, rng=rng_for(4))
+        self._assert_same(rec, ref)
+
+    def test_gd(self):
+        p, x0 = self._problem()
+        ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
+                            lambda k, g, gnorm: 0.01 * g)
+        self._assert_same(gd_run(p, x0, 0.01, self.MAX_ITERS), ref)
+
+    def test_adam(self):
+        p, x0 = self._problem()
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        state = {"m": np.zeros_like(x0), "v": np.zeros_like(x0)}
+
+        def step(k, g, gnorm):
+            state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+            state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+            m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
+            v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
+            return lr * (m_hat / (np.sqrt(v_hat) + eps))
+
+        ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x), step)
+        self._assert_same(adam_run(p, x0, lr, self.MAX_ITERS), ref)
 
 
 class TestHybridRuns:

@@ -137,3 +137,7 @@ def test_array_kernel_matches_scalar_bitwise():
 def test_array_kernel_rejects_nan():
     with pytest.raises(ValueError):
         afun_array(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
+    # the kernel takes finite slopes only; infinite ones are rejected too
+    for alpha, beta in ((math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (-math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            afun_array(np.array([alpha]), np.array([beta]))

@@ -7,6 +7,7 @@ import pytest
 
 from specopt import objectives
 from specopt.objectives import ElasticNetProblem, sum_abs
+from specopt.scalar import afun_array
 from specopt.specular import (
     FdEstimate,
     HypothesisViolationError,
@@ -63,6 +64,30 @@ class TestAssembly:
         vec = specular_from_one_sided_array(plus, minus, 1.0)
         scal = [specular_from_one_sided(OneSidedPair(p, m), 1.0) for p, m in zip(plus, minus)]
         assert np.array_equal(vec, np.array(scal))
+
+    @pytest.mark.parametrize("vnorm", [1.0, 0.3, 7.0])
+    def test_kink_masked_assembly_equals_full_kernel(self, vnorm):
+        # afun_array only runs where the pair differs; everywhere the result
+        # must be the bits of the kernel applied to every entry
+        rng = np.random.default_rng(4)
+        plus = rng.standard_normal(500) * 10.0 ** rng.uniform(-3, 3, 500)
+        minus = rng.standard_normal(500) * 10.0 ** rng.uniform(-3, 3, 500)
+        equal = rng.random(500) < 0.6
+        minus[equal] = plus[equal]
+        plus[:3] = minus[:3] = 0.0
+        vec = specular_from_one_sided_array(plus, minus, vnorm)
+        assert np.array_equal(vec, vnorm * afun_array(plus / vnorm, minus / vnorm))
+        assert np.array_equal(specular_from_one_sided_array(plus[equal], minus[equal], vnorm),
+                              vnorm * (plus[equal] / vnorm))
+
+    def test_kink_masked_assembly_keeps_fallbacks(self):
+        with pytest.raises(ValueError):
+            specular_from_one_sided_array(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
+        out = specular_from_one_sided_array(np.array([2e12, 1.0]), np.array([1.0, 1.0]))
+        assert out[1] == 1.0
+        assert out[0] == specular_from_one_sided(OneSidedPair(2e12, 1.0), 1.0)
+        with pytest.raises(HypothesisViolationError):
+            specular_from_one_sided_array(np.array([INF, 1.0]), np.array([2e12, 1.0]))
 
 
 class TestGradient:
