@@ -8,8 +8,9 @@
 ``run`` writes an output bundle of three files: stats.json (per-method
 aggregates and trajectories), trajectories.csv (one row per method, trial,
 and iteration, sorted by that key), and runmeta.json (config echo, seed,
-versions, timing).  Floats serialize with shortest round-trip decimals, so
-reruns with the same seed produce byte-identical stats and trajectories.
+versions, timing, trial worker count).  Floats serialize with shortest
+round-trip decimals, so reruns with the same seed produce byte-identical
+stats and trajectories.
 Exit codes: 0 success, 1 configuration error, 2 finished with failed cells.
 """
 
@@ -73,6 +74,7 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
             "python": sys.version.split()[0],
         },
         "wall_time_s": wall_time_s,
+        "trial_workers": stats.workers,
         "statuses": {method: [rec.status for rec in records[method]] for method in sorted(records)},
     }
     (out_dir / "runmeta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")

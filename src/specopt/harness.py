@@ -5,15 +5,17 @@ SeedSequence: stream (seed, trial, 0) samples the problem instance and
 starting point, stream (seed, trial, 1 + i) drives the draws of the method
 with canonical index i.  Normal variates use the generator's ziggurat
 sampler.  Every method within a trial consumes the identical instance and
-starting point, so comparisons are paired; trials are independent and safe
-to run concurrently.
+starting point, so comparisons are paired.  Trials are independent, so they
+run in forked worker processes and the results do not depend on how many.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +42,8 @@ _CONFIG_FIELDS = {
     "methods", "seed", "switch_k", "schedule_c",
 }
 _REQUIRED_FIELDS = {"m", "n", "lambda1", "lambda2", "methods", "seed"}
+_INT_FIELDS = ("m", "n", "trials", "max_iters", "switch_k", "seed")
+_REAL_FIELDS = ("lambda1", "lambda2", "schedule_c")
 
 
 class ConfigError(ValueError):
@@ -60,6 +64,18 @@ class ExperimentConfig:
     schedule_c: float = 4.0
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if (not isinstance(self.methods, (list, tuple))
+                or not all(isinstance(name, str) for name in self.methods)):
+            raise ConfigError(f"methods must be a list of names, got {self.methods!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.m < 1 or self.n < 1:
             raise ConfigError("m and n must be positive integers")
@@ -168,6 +184,7 @@ class MethodStats:
 @dataclass
 class TrialStats:
     per_method: dict[str, MethodStats]
+    workers: int = 1  # processes the trials ran in; 1 when serial
 
 
 def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, RunRecord]:
@@ -180,7 +197,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, RunRecord]:
     return out
 
 
-def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> TrialStats:
+def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> dict[str, MethodStats]:
     per_method: dict[str, MethodStats] = {}
     for method in cfg.methods:
         runs = records[method]
@@ -205,7 +222,7 @@ def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> Tr
             finals = []
             traj = {"mean": [], "median": [], "stddev": []}
         per_method[method] = MethodStats(mean, median, stddev, len(ok), failed, finals, traj)
-    return TrialStats(per_method)
+    return per_method
 
 
 def default_threads() -> int:
@@ -221,18 +238,41 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_context():
+    """multiprocessing's ``fork`` context, or None where the platform lacks it.
+
+    multiprocessing and the process pool are imported only when a run builds a
+    pool, so a serial run or a library import does not pay for their import.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def run_trials(cfg: ExperimentConfig, threads: int | None = None):
     """Execute every configured method over all trials.
 
     Returns (TrialStats, records) where records maps method name to the list
     of RunRecords in trial order.  Failed cells (numerical_failure) stay in
     the records but are excluded from the aggregates.
+
+    Trials run in min(threads, CPU count, trials) worker processes started
+    with ``fork``; ``threads`` defaults to ``SPECOPT_THREADS``, else the CPU
+    count.  With one worker, or where ``fork`` is unavailable, they run
+    serially in this process.  The records are the same bits either way.
     """
     threads = default_threads() if threads is None else threads
-    if threads > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _run_trial(cfg, t), range(cfg.trials)))
+    workers = min(threads, os.cpu_count() or 1, cfg.trials)
+    context = _fork_context() if workers > 1 else None
+    if context is not None:
+        # fork starts each worker in milliseconds without re-importing numpy;
+        # the executor forks all of them before it starts its own thread.
+        with futures.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            per_trial = list(pool.map(partial(_run_trial, cfg), range(cfg.trials)))
     else:
+        workers = 1
         per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
     records = {method: [per_trial[t][method] for t in range(cfg.trials)] for method in cfg.methods}
-    return _aggregate(cfg, records), records
+    return TrialStats(_aggregate(cfg, records), workers), records

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -56,6 +57,35 @@ class TestRunCommand:
         assert stats["GD"]["failed"] == 2
         assert math.isnan(stats["GD"]["mean"])
         assert stats["SPEG-s"]["count"] == 2
+
+    @pytest.mark.parametrize("patch", [
+        {"m": 5.5}, {"m": True}, {"trials": True}, {"lambda1": math.nan},
+        {"lambda2": math.inf}, {"methods": "GD"},
+    ])
+    def test_wrong_types_are_config_errors(self, tmp_path, capsys, patch):
+        cfg = write_config(tmp_path, **patch)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_config(tmp_path, methods=["SPEG-s", "S-SPEG", "GD"])
+        outs = {}
+        for threads in ("1", None):
+            if threads is None:
+                monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SPECOPT_THREADS", threads)
+            outs[threads] = tmp_path / f"threads-{threads}"
+            assert main(["run", "--config", str(cfg), "--out", str(outs[threads])]) == 0
+        for name in ("stats.json", "trajectories.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs[None] / name).read_bytes()
+        workers = [json.loads((out / "runmeta.json").read_text())["trial_workers"]
+                   for out in outs.values()]
+        assert workers == [1, 2]
 
     def test_seed_and_trials_overrides(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,9 +1,14 @@
 """Harness tests: instance sampling, aggregation, config parsing, determinism."""
 
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from specopt.harness import (
+    METHOD_NAMES,
     ConfigError,
     ExperimentConfig,
     aggregate_stats,
@@ -85,6 +90,20 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(dict(self.BASE, **patch))
 
+    @pytest.mark.parametrize("patch", [
+        {"m": 5.5}, {"m": True}, {"n": "3"}, {"trials": True}, {"max_iters": 10.0},
+        {"switch_k": False}, {"seed": 1.5}, {"lambda1": float("nan")},
+        {"lambda2": float("inf")}, {"schedule_c": float("-inf")}, {"lambda1": True},
+        {"lambda2": "1"}, {"methods": "GD"}, {"methods": ["GD", 1]}, {"methods": {"GD": 1}},
+    ])
+    def test_wrong_types_rejected(self, patch):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(dict(self.BASE, **patch))
+
+    def test_integer_reals_accepted(self):
+        cfg = ExperimentConfig.from_dict(dict(self.BASE, lambda1=0, lambda2=2, schedule_c=4))
+        assert (cfg.lambda1, cfg.lambda2, cfg.schedule_c) == (0, 2, 4)
+
 
 class TestRunTrials:
     def _cfg(self, **kw):
@@ -152,3 +171,55 @@ class TestRunTrials:
         series = np.array([list(r.f_best) + [r.final_f_best] * (width - len(r))
                            for r in records["SPEG-s"]])
         assert np.allclose(traj["mean"], series.mean(axis=0), rtol=1e-15)
+
+    @pytest.mark.parametrize("lambda2", [1.0, 1e6])
+    def test_records_bitwise_equal_across_worker_counts(self, monkeypatch, lambda2):
+        # lambda2 = 1e6 makes every GD cell fail; failed records must match too
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = self._cfg(methods=list(METHOD_NAMES), lambda2=lambda2)
+        s1, r1 = run_trials(cfg, threads=1)
+        s4, r4 = run_trials(cfg, threads=4)
+        assert (s1.workers, s4.workers) == (1, cfg.trials)
+        if lambda2 == 1e6:
+            assert all(rec.status == "numerical_failure" for rec in r4["GD"])
+        for method in METHOD_NAMES:
+            for a, b in zip(r1[method], r4[method], strict=True):
+                assert a.status == b.status
+                for name in ("iters", "f_current", "f_best", "grad_norm", "x_best", "h_trace"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (method, name)
+
+    @pytest.mark.parametrize("threads,cpus,trials,expected", [
+        (4, 2, 3, 2), (2, 8, 5, 2), (8, 8, 3, 3), (1, 8, 5, None), (8, 8, 1, None),
+    ])
+    def test_pool_size_capped(self, monkeypatch, threads, cpus, trials, expected):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        stats, _ = run_trials(self._cfg(methods=["GD"], trials=trials, max_iters=2), threads=threads)
+        assert pools == ([] if expected is None else [(expected, "fork")])
+        assert stats.workers == (expected or 1)
+
+    def test_serial_without_fork(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may be built without fork")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        stats, _ = run_trials(self._cfg(methods=["GD"], max_iters=2), threads=4)
+        assert stats.workers == 1
