@@ -6,11 +6,11 @@
     specopt specgrad NAME x1,x2,...
 
 ``run`` writes an output bundle of three files: stats.json (per-method
-aggregates and trajectories), trajectories.csv (one row per method, trial,
-and iteration, sorted by that key), and runmeta.json (config echo, seed,
-versions, timing, trial worker count).  Floats serialize with shortest
-round-trip decimals, so reruns with the same seed produce byte-identical
-stats and trajectories.
+aggregates, null where no trial succeeded, and trajectories),
+trajectories.csv (one row per method, trial, and iteration, sorted by that
+key), and runmeta.json (config echo, seed, versions, timing, trial worker
+count).  Floats serialize with shortest round-trip decimals, so reruns with
+the same seed produce byte-identical stats and trajectories.
 Exit codes: 0 success, 1 configuration error, 2 finished with failed cells.
 """
 
@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
 
     stats_doc = {method: asdict(ms) for method, ms in stats.per_method.items()}
     (out_dir / "stats.json").write_text(
-        json.dumps(stats_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(stats_doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
     lines = ["method,trial,iter,f_current,f_best,grad_norm"]
     for method in sorted(records):
@@ -77,7 +77,8 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
         "trial_workers": stats.workers,
         "statuses": {method: [rec.status for rec in records[method]] for method in sorted(records)},
     }
-    (out_dir / "runmeta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "runmeta.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -115,27 +116,27 @@ def cmd_sweep(args) -> int:
         l2s = _parse_lambda_list(args.l2)
         if not l1s or not l2s:
             raise ConfigError("sweep needs nonempty --l1 and --l2 lists")
+        # every cell is validated before any cell runs
+        cells = [replace(base, lambda1=l1, lambda2=l2) for l1 in l1s for l2 in l2s]
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     out_root = Path(args.out)
     manifest = []
     worst = 0
-    for l1 in l1s:
-        for l2 in l2s:
-            cell_dir = out_root / f"l1_{l1:g}_l2_{l2:g}"
-            raw = base.as_dict()
-            raw["lambda1"], raw["lambda2"] = l1, l2
-            try:
-                code = _execute(ExperimentConfig.from_dict(raw), cell_dir)
-            except Exception as err:  # keep sweeping the remaining cells
-                print(f"cell l1={l1:g} l2={l2:g} failed: {err}", file=sys.stderr)
-                code = 2
-            manifest.append({"lambda1": l1, "lambda2": l2,
-                             "dir": cell_dir.name, "exit_code": code})
-            worst = max(worst, code)
+    for cfg in cells:
+        l1, l2 = cfg.lambda1, cfg.lambda2
+        cell_dir = out_root / f"l1_{l1:g}_l2_{l2:g}"
+        try:
+            code = _execute(cfg, cell_dir)
+        except Exception as err:  # keep sweeping the remaining cells
+            print(f"cell l1={l1:g} l2={l2:g} failed: {err}", file=sys.stderr)
+            code = 2
+        manifest.append({"lambda1": l1, "lambda2": l2, "dir": cell_dir.name, "exit_code": code})
+        worst = max(worst, code)
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "index.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    (out_root / "index.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
+                                         encoding="utf-8")
     return worst
 
 
@@ -168,14 +169,10 @@ def cmd_specgrad(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     grad = specular_gradient(obj, point)
-    pairs = []
-    for i in range(obj.dimension):
-        e = np.zeros(obj.dimension)
-        e[i] = 1.0
-        pair = obj.one_sided(point, e)
-        pairs.append({"plus": pair.plus, "minus": pair.minus})
+    plus, minus = obj.one_sided_basis(point)
+    pairs = [{"plus": p, "minus": m} for p, m in zip(plus.tolist(), minus.tolist())]
     print(json.dumps({"function": args.function, "point": point.tolist(),
-                      "gradient": grad.tolist(), "one_sided": pairs}, indent=2))
+                      "gradient": grad.tolist(), "one_sided": pairs}, indent=2, allow_nan=False))
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -37,11 +37,6 @@ GD_STEP = 1e-3
 ADAM_LR = 1e-2
 GEOMETRIC_RATIO = 0.5
 
-_CONFIG_FIELDS = {
-    "m", "n", "lambda1", "lambda2", "trials", "max_iters",
-    "methods", "seed", "switch_k", "schedule_c",
-}
-_REQUIRED_FIELDS = {"m", "n", "lambda1", "lambda2", "methods", "seed"}
 _INT_FIELDS = ("m", "n", "trials", "max_iters", "switch_k", "seed")
 _REAL_FIELDS = ("lambda1", "lambda2", "schedule_c")
 
@@ -113,13 +108,11 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m, "n": self.n,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "trials": self.trials, "max_iters": self.max_iters,
-            "methods": list(self.methods), "seed": self.seed,
-            "switch_k": self.switch_k, "schedule_c": self.schedule_c,
-        }
+        return {**asdict(self), "methods": list(self.methods)}
+
+
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_REQUIRED_FIELDS = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
 def substream(seed: int, trial: int, role: int) -> np.random.Generator:
@@ -170,11 +163,11 @@ def run_method(method: str, problem: ElasticNetProblem, x0, cfg: ExperimentConfi
 
 @dataclass
 class MethodStats:
-    """Aggregated results of one method over the successful trials."""
+    """Aggregated results of one method over the successful trials (None without any)."""
 
-    mean: float
-    median: float
-    stddev: float
+    mean: float | None
+    median: float | None
+    stddev: float | None
     count: int
     failed: int
     finals: list[float]
@@ -218,7 +211,7 @@ def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> di
                            else np.zeros(width)).tolist(),
             }
         else:
-            mean = median = stddev = float("nan")
+            mean = median = stddev = None
             finals = []
             traj = {"mean": [], "median": [], "stddev": []}
         per_method[method] = MethodStats(mean, median, stddev, len(ok), failed, finals, traj)

@@ -1,16 +1,17 @@
-"""Convex objective catalog with analytic one-sided directional-derivative oracles.
+"""Objective catalog with analytic one-sided directional-derivative oracles.
 
-Every member exposes ``value(x)``, ``one_sided(x, v) -> OneSidedPair`` and a
-``dimension``; the matrix-backed objectives additionally provide the
-vectorized ``one_sided_basis(x)`` hook consumed by the gradient assembly,
-and the elastic net also ``value_and_one_sided_basis(x)``, which the
-optimizers use to get both from one residual.
-The absolute-value penalty contributes, per coordinate i,
+Every member exposes ``value(x)``, ``one_sided(x, v) -> OneSidedPair``, the
+per-coordinate partials ``one_sided_basis(x)`` and a ``dimension``; the
+elastic net also ``value_and_one_sided_basis(x)``, which the optimizers use
+to get value and partials from one residual.
 
-    d+(x_i, v_i) = sign(x_i) v_i  if x_i != 0  else |v_i|
-    d-(x_i, v_i) = sign(x_i) v_i  if x_i != 0  else -|v_i|
-
-where the x_i = 0 branch is dispatched on exact floating equality.
+Each objective is a smooth part plus a sum of one-variable terms, so its
+one-sided rule is written once, as the partials plus_i = f'(x; e_i) and
+minus_i = -f'(x; -e_i).  For lambda1 |x_i| and smooth gradient g they are
+g_i + lambda1 sign(x_i) if x_i != 0, else g_i + lambda1 and g_i - lambda1
+(x_i = 0 is dispatched on exact floating equality).  The pair along v follows:
+coordinate i adds plus_i v_i to f'(x; v) when v_i > 0 and minus_i v_i when
+v_i < 0, and -f'(x; -v) swaps the two.  No convexity is assumed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .specular import OneSidedPair
 
 @runtime_checkable
 class Objective(Protocol):
-    """Convex function with an analytic one-sided directional-derivative oracle."""
+    """Function with an analytic one-sided directional-derivative oracle."""
 
     dimension: int
 
@@ -34,29 +35,11 @@ class Objective(Protocol):
     def one_sided(self, x, v) -> OneSidedPair: ...
 
 
-def _abs_kink_terms(x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Forward/backward contributions of sum_i |x_i| along v."""
-    zero = x == 0.0
-    signed = np.sign(x) * v
-    plus = float(np.where(zero, np.abs(v), signed).sum())
-    minus = float(np.where(zero, -np.abs(v), signed).sum())
-    return plus, minus
-
-
 # The objectives below share one shape, smooth part + lambda1 ||x||_1; these
-# helpers add the penalty to the value, the gradient g of the smooth part
-# along v, or g along every e_i.
+# helpers add the penalty to the value or to the smooth gradient g.
 
 def _l1_value(smooth, x: np.ndarray, lambda1: float) -> float:
     return float(smooth + lambda1 * np.abs(x).sum())
-
-
-def _l1_one_sided(g: np.ndarray, x: np.ndarray, v: np.ndarray, lambda1: float) -> OneSidedPair:
-    gv = float(g @ v)
-    if lambda1 == 0.0:
-        return OneSidedPair(gv, gv)
-    kink_plus, kink_minus = _abs_kink_terms(x, v)
-    return OneSidedPair(gv + lambda1 * kink_plus, gv + lambda1 * kink_minus)
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +60,20 @@ def _check_dim(x, n: int) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"expected a vector of dimension {n}, got shape {x.shape}")
     return x
+
+
+def _one_sided_from_basis(basis: tuple[np.ndarray, np.ndarray], v) -> OneSidedPair:
+    """(f'(x; v), -f'(x; -v)) from the partials (plus, minus) = one_sided_basis(x).
+
+    Coordinates with v_i = 0 do not enter, even where a partial is infinite.
+    """
+    plus, minus = basis
+    v = _check_dim(v, plus.shape[0])
+    ahead = v > 0.0
+    back = ~ahead & (v != 0.0)  # NaN entries land here, so OneSidedPair rejects the pair
+    va, vb = v[ahead], v[back]
+    return OneSidedPair(float(plus[ahead] @ va + minus[back] @ vb),
+                        float(minus[ahead] @ va + plus[back] @ vb))
 
 
 def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) -> np.ndarray:
@@ -138,8 +135,7 @@ class ElasticNetProblem:
         return self._smooth_gradient_at(x, self.A @ x - self.b)
 
     def one_sided(self, x, v) -> OneSidedPair:
-        x = _check_dim(x, self.n)
-        return _l1_one_sided(self.smooth_gradient(x), x, _check_dim(v, self.n), self.lambda1)
+        return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
@@ -199,8 +195,7 @@ class ElasticNetComponent:
         return _sample_gradient(self.a, self.bj, self.lambda2, _check_dim(x, self.dimension))
 
     def one_sided(self, x, v) -> OneSidedPair:
-        x = _check_dim(x, self.dimension)
-        return _l1_one_sided(self.smooth_gradient(x), x, _check_dim(v, self.dimension), self.lambda1)
+        return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
@@ -257,8 +252,7 @@ class DiagonalLasso:
         return self.d * (np.asarray(x, dtype=float) - self.b)
 
     def one_sided(self, x, v) -> OneSidedPair:
-        x = np.asarray(x, dtype=float)
-        return _l1_one_sided(self.smooth_gradient(x), x, np.asarray(v, dtype=float), self.lambda1)
+        return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -293,13 +287,7 @@ class PiecewiseScalar:
         return float(self.fn(_scalar(x)))
 
     def one_sided(self, x, v) -> OneSidedPair:
-        t = _scalar(x)
-        w = _scalar(v)
-        if w == 0.0:
-            return OneSidedPair(0.0, 0.0)
-        if w > 0.0:
-            return OneSidedPair(w * float(self.right_slope(t)), w * float(self.left_slope(t)))
-        return OneSidedPair(w * float(self.left_slope(t)), w * float(self.right_slope(t)))
+        return _one_sided_from_basis(self.one_sided_basis(x), [_scalar(v)])
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         t = _scalar(x)

@@ -70,7 +70,10 @@ def afun(alpha: float, beta: float) -> float:
             finite, sign = alpha, beta
         else:
             finite, sign = beta, alpha
-        return finite + math.copysign(math.hypot(1.0, finite), sign)
+        root = math.hypot(1.0, finite)
+        if (finite < 0.0) == (sign > 0.0):  # opposite signs: the conjugate form does not cancel
+            return math.copysign(1.0 / (root + abs(finite)), sign)
+        return finite + math.copysign(root, sign)
     if alpha == beta:
         return alpha
     s = alpha + beta

@@ -34,27 +34,19 @@ class OneSidedPair:
 def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
     """Specular directional derivative from a one-sided pair along a direction of norm vnorm.
 
-    Finite magnitudes at or above INFINITY_THRESHOLD are promoted to +-inf
-    before dispatch.  The result is always finite; a pair infinite with the
-    same sign violates the existence hypothesis and is rejected.
+    Finite magnitudes at or above INFINITY_THRESHOLD are promoted to +-inf,
+    whose limits afun carries.  The result is always finite; a pair infinite
+    with the same sign violates the existence hypothesis and is rejected.
     """
     vnorm = float(vnorm)
     if not vnorm > 0.0 or math.isinf(vnorm) or math.isnan(vnorm):
         raise ValueError("vnorm must be a positive finite real")
     plus = promote_extended(pair.plus)
     minus = promote_extended(pair.minus)
-    if math.isinf(plus) and math.isinf(minus):
-        if plus == minus:
-            raise HypothesisViolationError(
-                f"one-sided derivatives are both {plus:+g}; specular derivative does not exist"
-            )
-        return 0.0
-    if plus == -minus:
-        return 0.0
-    if math.isinf(minus):
-        return plus + math.copysign(math.hypot(vnorm, plus), minus)
-    if math.isinf(plus):
-        return minus + math.copysign(math.hypot(vnorm, minus), plus)
+    if math.isinf(plus) and plus == minus:
+        raise HypothesisViolationError(
+            f"one-sided derivatives are both {plus:+g}; specular derivative does not exist"
+        )
     return vnorm * afun(plus / vnorm, minus / vnorm)
 
 

@@ -17,6 +17,10 @@ BASE_CONFIG = {
 }
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def write_config(tmp_path, name="cfg.json", **patch):
     raw = dict(BASE_CONFIG)
     raw.update(patch)
@@ -55,8 +59,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         stats = json.loads((out / "stats.json").read_text())
         assert stats["GD"]["failed"] == 2
-        assert math.isnan(stats["GD"]["mean"])
+        assert stats["GD"]["mean"] is None
         assert stats["SPEG-s"]["count"] == 2
+
+    def test_all_failed_method_writes_strict_json(self, tmp_path):
+        cfg = write_config(tmp_path, lambda2=1e6, methods=["GD"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        for name in ("stats.json", "runmeta.json"):
+            json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        stats = json.loads((out / "stats.json").read_text())
+        assert [stats["GD"][key] for key in ("mean", "median", "stddev")] == [None, None, None]
+
+    def test_config_echo_lists_every_field(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "runmeta.json").read_text())
+        assert meta["config"] == {**BASE_CONFIG, "switch_k": 10, "schedule_c": 4.0}
 
     @pytest.mark.parametrize("patch", [
         {"m": 5.5}, {"m": True}, {"trials": True}, {"lambda1": math.nan},
@@ -145,6 +165,15 @@ class TestSweepCommand:
         cell = sweep_out / "l1_0.1_l2_1"
         assert cell.is_dir()
         assert (cell / "stats.json").read_bytes() == (run_out / "stats.json").read_bytes()
+
+    @pytest.mark.parametrize("l1", ["nan,0.1", "0.1,inf", "0.1,-1"])
+    def test_invalid_cell_stops_the_sweep_before_any_cell_runs(self, tmp_path, capsys, l1):
+        cfg = write_config(tmp_path, trials=1, max_iters=5, methods=["SPEG-s"])
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", l1, "--l2", "1"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert not out.exists()
 
     def test_empty_lambda_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

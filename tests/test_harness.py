@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    def test_every_field_without_default_is_required(self):
+        for name in self.BASE:
+            with pytest.raises(ConfigError, match=f"missing config fields: {name}$"):
+                ExperimentConfig.from_dict({k: v for k, v in self.BASE.items() if k != name})
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(self.BASE, methods=["SGD"]))

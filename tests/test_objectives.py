@@ -1,5 +1,7 @@
 """Objective catalog tests: values, oracles, components, and the closed-form minimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,73 @@ class TestFusedOracle:
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.1, 0.1)
         with pytest.raises(ValueError):
             p.value_and_one_sided_basis([1.0, 2.0, 3.0])
+
+
+def _kink_rule(g, x, v, lambda1):
+    """Reference pair: g.v plus lambda1 times sign(x_i) v_i, or +-|v_i| where x_i == 0."""
+    zero = x == 0.0
+    gv = float(g @ v)
+    plus = gv + lambda1 * float(np.where(zero, np.abs(v), np.sign(x) * v).sum())
+    minus = gv + lambda1 * float(np.where(zero, -np.abs(v), np.sign(x) * v).sum())
+    return plus, minus
+
+
+class TestOneSidedFromPartials:
+    """one_sided(x, v) is derived from one_sided_basis(x) by one rule for every objective."""
+
+    def _objectives(self, rng, n):
+        p = ElasticNetProblem(rng.standard_normal((4, n)), rng.standard_normal(4), 0.6, 0.3)
+        lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 0.8)
+        return p, p.component(2), lasso
+
+    def test_matches_kink_rule(self):
+        rng = np.random.default_rng(21)
+        n = 6
+        for obj in self._objectives(rng, n):
+            for _ in range(20):
+                x = rng.standard_normal(n)
+                x[rng.random(n) < 0.4] = 0.0
+                x[0] = 0.0
+                v = rng.standard_normal(n)
+                v[rng.random(n) < 0.3] = 0.0
+                v[1], v[2] = 0.0, -abs(v[2])  # a zero and a negative entry every time
+                pair = obj.one_sided(x, v)
+                plus, minus = _kink_rule(obj.smooth_gradient(x), x, v, obj.lambda1)
+                assert pair.plus == pytest.approx(plus, rel=1e-12, abs=1e-12)
+                assert pair.minus == pytest.approx(minus, rel=1e-12, abs=1e-12)
+
+    def test_zero_direction_gives_zero_pair(self):
+        rng = np.random.default_rng(22)
+        for obj in self._objectives(rng, 3):
+            pair = obj.one_sided(np.zeros(3), np.zeros(3))
+            assert (pair.plus, pair.minus) == (0.0, 0.0)
+
+    def test_concave_scalar_needs_no_convexity(self):
+        neg_abs = objectives.PiecewiseScalar(
+            "negabs", fn=lambda t: -np.abs(t),
+            left_slope=lambda t: np.where(t > 0.0, -1.0, 1.0),
+            right_slope=lambda t: np.where(t >= 0.0, -1.0, 1.0))
+        pair = neg_abs.one_sided([0.0], [1.0])
+        assert (pair.plus, pair.minus) == (-1.0, 1.0)
+        pair = neg_abs.one_sided([0.0], [-2.0])
+        assert (pair.plus, pair.minus) == (-2.0, 2.0)
+
+    def test_infinite_partial_enters_only_when_moving(self):
+        root_abs = objectives.PiecewiseScalar(
+            "rootabs", fn=lambda t: np.sqrt(np.abs(t)),
+            left_slope=lambda t: -np.inf if t == 0.0 else -0.5 / np.sqrt(-t),
+            right_slope=lambda t: np.inf if t == 0.0 else 0.5 / np.sqrt(t))
+        pair = root_abs.one_sided([0.0], [1.0])
+        assert (pair.plus, pair.minus) == (math.inf, -math.inf)
+        pair = root_abs.one_sided([0.0], [-3.0])
+        assert (pair.plus, pair.minus) == (math.inf, -math.inf)
+        pair = root_abs.one_sided([0.0], [0.0])
+        assert (pair.plus, pair.minus) == (0.0, 0.0)
+
+    def test_nan_direction_rejected(self):
+        for obj in (sum_abs(2), objectives.test_function_1d("abs")):
+            with pytest.raises(ValueError):
+                obj.one_sided(np.zeros(obj.dimension), np.full(obj.dimension, math.nan))
 
 
 class TestDiagonalLasso:

@@ -38,6 +38,13 @@ class TestAfunExamples:
         assert afun(3.0, INF) == pytest.approx(3.0 + math.sqrt(10.0), abs=1e-12)
         assert afun(INF, 3.0) == afun(3.0, INF)
 
+    def test_one_infinite_argument_without_cancellation(self):
+        # alpha + sqrt(1 + alpha^2) for alpha << 0 equals 1 / (sqrt(1 + alpha^2) - alpha)
+        for alpha in (-1e3, -1e8, -1e200):
+            expected = 1.0 / (math.hypot(1.0, alpha) - alpha)
+            assert afun(alpha, INF) == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert afun(-alpha, -INF) == pytest.approx(-expected, rel=1e-15, abs=0.0)
+
     def test_opposite_infinities(self):
         assert afun(INF, -INF) == 0.0
         assert afun(-INF, INF) == 0.0

@@ -29,6 +29,16 @@ class TestAssembly:
     def test_antisymmetric_branch(self):
         assert specular_from_one_sided(OneSidedPair(1.0, -1.0), 1.0) == 0.0
 
+    @pytest.mark.parametrize("vnorm", [0.3, 7.0])
+    def test_one_infinite_side_from_the_kernel(self, vnorm):
+        # the limit |v| afun(p / |v|, +-inf) = p +- hypot(|v|, p), at a direction norm other than 1;
+        # p mostly on the side of the infinity, where the closed form does not cancel
+        for inf in (INF, -INF):
+            for finite in (p * math.copysign(1.0, inf) for p in (0.0, 1e-3, 0.25, 2.0, -0.1)):
+                expected = finite + math.copysign(math.hypot(vnorm, finite), inf)
+                for pair in (OneSidedPair(finite, inf), OneSidedPair(inf, finite)):
+                    assert specular_from_one_sided(pair, vnorm) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_finite_pair(self):
         assert specular_from_one_sided(OneSidedPair(2.0, 1.0), 1.0) == pytest.approx(AFUN_2_1, abs=1e-12)
 
