@@ -3,7 +3,8 @@
 Each suite draws its own deterministic random sample, verifies one family of
 identities or inequalities, and reports the worst violation it saw.  The
 ``samples`` argument scales the sampling effort (the fast level uses 1e2,
-the full level 1e4).
+the full level 1e4).  Acceptance criteria 1-4 and 10 call five of these
+suites with the gate's own sample counts and streams.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class SuiteResult:
 
 def _slopes(rng: np.random.Generator, size: int) -> np.ndarray:
     """Signed log-uniform slopes covering magnitudes 1e-6 .. 1e6."""
-    mag = 10.0 ** rng.uniform(-6.0, 6.0, size)
-    return np.where(rng.random(size) < 0.5, -mag, mag)
+    sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return sign * 10.0 ** rng.uniform(-6.0, 6.0, size)
 
 
 def scalar_identities(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -54,18 +55,17 @@ def scalar_identities(samples: int, rng: np.random.Generator) -> SuiteResult:
     return SuiteResult("scalar-identities", passed, f"worst relative form error {worst:.3e}")
 
 
-def _random_instance(rng: np.random.Generator, max_mn: int = 12) -> ElasticNetProblem:
+def _random_instance(rng: np.random.Generator, max_mn: int) -> ElasticNetProblem:
     m = int(rng.integers(1, max_mn))
     n = int(rng.integers(1, max_mn))
-    lam1 = float(rng.uniform(0.0, 2.0))
-    lam2 = float(rng.uniform(0.0, 2.0))
-    return ElasticNetProblem(rng.standard_normal((m, n)), rng.standard_normal(m), lam1, lam2)
+    A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    return ElasticNetProblem(A, b, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
 
 
 def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
     worst = -math.inf
     for _ in range(samples):
-        p = _random_instance(rng)
+        p = _random_instance(rng, max_mn=13)
         x = rng.standard_normal(p.n)
         v = rng.standard_normal(p.n)
         pair = p.one_sided(x, v)
@@ -81,7 +81,7 @@ def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
 def subgradient_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
     worst = -math.inf
     for _ in range(samples):
-        p = _random_instance(rng)
+        p = _random_instance(rng, max_mn=21)
         x = rng.standard_normal(p.n)
         w = rng.standard_normal(p.n)
         g = specular_gradient(p, x)
@@ -120,8 +120,8 @@ def quasi_mvt(samples: int, rng: np.random.Generator) -> SuiteResult:
         obj = test_function_1d(name)
         for _ in range(intervals):
             a, bb = np.sort(rng.uniform(-3.0, 3.0, 2))
-            if bb - a < 1e-3:
-                bb = a + 1e-3
+            if bb - a < 1e-2:
+                bb = a + 1e-2
             ts = np.linspace(a, bb, grid_points + 2)[1:-1]
             right, left = obj.lateral_slopes(ts)
             ds = specular.specular_from_one_sided_array(right, left, 1.0)
@@ -139,8 +139,8 @@ def estimator_consistency(samples: int, rng: np.random.Generator) -> SuiteResult
     worst = 0.0
     for name in catalog_1d_names():
         obj = test_function_1d(name)
-        xs = rng.uniform(-2.0, 2.0, pts)
-        xs = np.where(np.abs(xs) < 1e-3, 0.0, xs)  # keep clear of the sub-step kink band
+        xs = rng.uniform(1e-3, 2.0, pts - 1) * np.where(rng.random(pts - 1) < 0.5, -1.0, 1.0)
+        xs = np.concatenate([[0.0], xs])  # the kink itself, else clear of the sub-step kink band
         for t in xs:
             analytic = specular_from_one_sided(obj.one_sided([t], [1.0]), 1.0)
             est = fd_specular_directional(lambda z: obj.value(z), [t], [1.0])

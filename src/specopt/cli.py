@@ -50,8 +50,6 @@ def _load_config(path: str, seed=None, trials=None) -> ExperimentConfig:
 
 
 def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time_s: float) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     stats_doc = {method: asdict(ms) for method, ms in stats.per_method.items()}
     (out_dir / "stats.json").write_text(
         json.dumps(stats_doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
@@ -82,6 +80,7 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail on a bad --out before any trial runs
     start = time.perf_counter()
     stats, records = run_trials(cfg)
     write_bundle(out_dir, cfg, stats, records, time.perf_counter() - start)
@@ -95,6 +94,9 @@ def cmd_run(args) -> int:
         return _execute(cfg, Path(args.out))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 1
 
 
@@ -117,16 +119,28 @@ def cmd_sweep(args) -> int:
         if not l1s or not l2s:
             raise ConfigError("sweep needs nonempty --l1 and --l2 lists")
         # every cell is validated before any cell runs
-        cells = [replace(base, lambda1=l1, lambda2=l2) for l1 in l1s for l2 in l2s]
+        cells = {}
+        for l1 in l1s:
+            for l2 in l2s:
+                name = f"l1_{l1:g}_l2_{l2:g}"
+                if name in cells:
+                    raise ConfigError(f"cells l1={cells[name].lambda1!r} l2={cells[name].lambda2!r} "
+                                      f"and l1={l1!r} l2={l2!r} share the directory {name}")
+                cells[name] = replace(base, lambda1=l1, lambda2=l2)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     out_root = Path(args.out)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     manifest = []
     worst = 0
-    for cfg in cells:
+    for name, cfg in cells.items():
         l1, l2 = cfg.lambda1, cfg.lambda2
-        cell_dir = out_root / f"l1_{l1:g}_l2_{l2:g}"
+        cell_dir = out_root / name
         try:
             code = _execute(cfg, cell_dir)
         except Exception as err:  # keep sweeping the remaining cells
@@ -134,7 +148,6 @@ def cmd_sweep(args) -> int:
             code = 2
         manifest.append({"lambda1": l1, "lambda2": l2, "dir": cell_dir.name, "exit_code": code})
         worst = max(worst, code)
-    out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "index.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
                                          encoding="utf-8")
     return worst

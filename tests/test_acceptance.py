@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the per-criterion
-lines.  The table regimes (criteria 6 to 8) execute 20 seeded trials at
-10^4 iterations; the whole gate takes a few minutes.
+lines.  Criteria 1 to 4 and 10 run the ``specopt check`` suites of
+``specopt.checks`` at the gate's own sample counts and random streams.  The
+table regimes (criteria 6 to 8) execute 20 seeded trials at 10^4
+iterations; the whole gate takes a few minutes.
 """
 
 import math
@@ -11,18 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from specopt import objectives
+from specopt import checks
 from specopt.cli import main as cli_main
 from specopt.harness import ExperimentConfig, run_trials, sample_instance, substream
 from specopt.objectives import DiagonalLasso, ElasticNetProblem
 from specopt.optimizers import StepSchedule, basic_inequality_bound, speg_run
 from specopt.scalar import afun, afun_tan_form, bfun
-from specopt.specular import (
-    fd_specular_directional,
-    specular_from_one_sided,
-    specular_from_one_sided_array,
-    specular_gradient,
-)
+from specopt.specular import specular_gradient
 
 SEED = 20260810
 TABLE_ITERS = 10_000  # budget at which the slow baselines actually converge
@@ -121,76 +118,27 @@ def test_criterion_01_scalar_identities():
         (bfun(2.0, 1.0, 1.0), AFUN_2_1),
     ]
     table_err = max(abs(got - want) for got, want in examples)
-
-    rng = _rng(1)
-    k = 100_000
-    alpha = np.where(rng.random(k) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 6.0, k)
-    beta = np.where(rng.random(k) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 6.0, k)
-    c = 10.0 ** rng.uniform(-6.0, 6.0, k)
-    worst_form = worst_scale = 0.0
-    for a, b_, cc in zip(alpha, beta, c):
-        val = afun(a, b_)
-        worst_form = max(worst_form, abs(val - afun_tan_form(a, b_)) / (1.0 + abs(val)))
-        bb = bfun(a, b_, cc)
-        worst_scale = max(worst_scale, abs(bb - afun(a / cc, b_ / cc)) / (1.0 + abs(bb)))
+    suite = checks.scalar_identities(100_000, _rng(1))
     elapsed = time.perf_counter() - start
-    ok = table_err <= 1e-12 and worst_form <= 1e-9 and worst_scale <= 1e-9 and elapsed < 5.0
-    _report(1, ok, f"examples err {table_err:.1e}, form {worst_form:.1e}, "
-                   f"scaling {worst_scale:.1e}, {elapsed:.1f}s")
+    ok = table_err <= 1e-12 and suite.passed and elapsed < 5.0
+    _report(1, ok, f"examples err {table_err:.1e}, {suite.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_02_subgradient_property():
     start = time.perf_counter()
-    rng = _rng(2)
-    worst = -math.inf
-    for _ in range(10_000):
-        m, n = int(rng.integers(1, 21)), int(rng.integers(1, 21))
-        p = ElasticNetProblem(rng.standard_normal((m, n)), rng.standard_normal(m),
-                              float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
-        x = rng.standard_normal(n)
-        w = rng.standard_normal(n)
-        g = specular_gradient(p, x)
-        fw = p.value(w)
-        worst = max(worst, p.value(x) + float(g @ (w - x)) - fw - 1e-8 * (1.0 + abs(fw)))
+    suite = checks.subgradient_inequality(10_000, _rng(2))
     elapsed = time.perf_counter() - start
-    ok = worst <= 0.0 and elapsed < 30.0
-    _report(2, ok, f"worst subgradient slack {worst:.2e}, {elapsed:.1f}s")
+    _report(2, suite.passed and elapsed < 30.0, f"{suite.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_03_ordering_lemma():
-    rng = _rng(3)
-    worst = -math.inf
-    for _ in range(10_000):
-        m, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
-        p = ElasticNetProblem(rng.standard_normal((m, n)), rng.standard_normal(m),
-                              float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
-        x = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        pair = p.one_sided(x, v)
-        ds = specular_from_one_sided(pair, float(np.linalg.norm(v)))
-        worst = max(worst,
-                    (p.value(x) - p.value(x - v)) - pair.minus,
-                    pair.minus - ds,
-                    ds - pair.plus,
-                    pair.plus - (p.value(x + v) - p.value(x)))
-    ok = worst <= 1e-9
-    _report(3, ok, f"worst chain violation {worst:.2e}")
+    suite = checks.ordering_lemma(10_000, _rng(3))
+    _report(3, suite.passed, suite.detail)
 
 
 def test_criterion_04_estimator_consistency():
-    rng = _rng(4)
-    worst = 0.0
-    for name in objectives.catalog_1d_names():
-        obj = objectives.test_function_1d(name)
-        pts = rng.uniform(1e-3, 2.0, 99) * np.where(rng.random(99) < 0.5, -1.0, 1.0)
-        pts = np.concatenate([[0.0], pts])  # the kink sits at the origin
-        assert pts.size == 100
-        for t in pts:
-            analytic = specular_from_one_sided(obj.one_sided([t], [1.0]), 1.0)
-            est = fd_specular_directional(lambda z: obj.value(z), [t], [1.0])
-            worst = max(worst, abs(est.value - analytic))
-    ok = worst <= 1e-5
-    _report(4, ok, f"worst |fd - analytic| {worst:.2e} over 4 x 100 points")
+    suite = checks.estimator_consistency(1000, _rng(4))
+    _report(4, suite.passed, f"{suite.detail} over 4 x 100 points")
 
 
 def test_criterion_05_oracle_convergence(lasso_oracle_run):
@@ -286,24 +234,8 @@ def test_criterion_09_quasi_fermat(lasso_oracle_run, table2, table3, table4):
 
 
 def test_criterion_10_quasi_mvt_grid():
-    rng = _rng(10)
-    worst = -math.inf
-    for name in objectives.catalog_1d_names():
-        obj = objectives.test_function_1d(name)
-        for _ in range(20):
-            a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
-            if b - a < 1e-2:
-                b = a + 1e-2
-            ts = np.linspace(a, b, 10_000 + 2)[1:-1]
-            right, left = obj.lateral_slopes(ts)
-            ds = specular_from_one_sided_array(right, left, 1.0)
-            secant = obj.value([b]) - obj.value([a])
-            slack = 1e-3 * (b - a)
-            worst = max(worst,
-                        float(ds.min()) * (b - a) - secant - slack,
-                        secant - float(ds.max()) * (b - a) - slack)
-    ok = worst <= 0.0
-    _report(10, ok, f"worst sandwich excess {worst:.2e} over 4 x 20 intervals")
+    suite = checks.quasi_mvt(500, _rng(10))
+    _report(10, suite.passed, f"{suite.detail} over 4 x 20 intervals")
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -1,14 +1,21 @@
 """CLI tests: bundles, exit codes, sweeps, round trips, and the check command."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specopt.specular
+from specopt import checks, cli
 from specopt.cli import main
 
 BASE_CONFIG = {
@@ -19,6 +26,15 @@ BASE_CONFIG = {
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
+
+
+def _no_trials(cfg):
+    raise AssertionError("a trial ran")
+
+
+def _assert_one_line(err, prefix):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
 
 
 def write_config(tmp_path, name="cfg.json", **patch):
@@ -89,6 +105,14 @@ class TestRunCommand:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_on_a_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: ")
 
     def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -175,10 +199,80 @@ class TestSweepCommand:
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("l1", ["0.1,0.1000001", "0.1,0.1"])
+    def test_colliding_cell_directories_rejected(self, tmp_path, capsys, monkeypatch, l1):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", l1, "--l2", "1"]) == 1
+        _assert_one_line(capsys.readouterr().err, "config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_on_a_file_fails_before_any_cell(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out),
+                     "--l1", "0.1", "--l2", "1"]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: ")
+
     def test_empty_lambda_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--l1", "", "--l2", "1.0"]) == 1
+
+
+# Config fuzzing: up to two fields of a small valid config are dropped or
+# replaced by a value of the wrong type, a non-finite or negative number, or
+# another valid value, or an unknown field is added.  Sizes stay at most 5, so
+# no run forks more than two trial workers.
+_ANY_BAD = st.sampled_from([None, True, "5", [], {}, math.nan, math.inf, -math.inf, -1, -0.5])
+_SMALL_INT = st.integers(-2, 5)
+_REAL = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2, 5)
+_FIELD_VALUES = {
+    "m": _SMALL_INT, "n": _SMALL_INT, "trials": _SMALL_INT, "max_iters": _SMALL_INT,
+    "switch_k": st.integers(-2, 10), "seed": st.sampled_from([-1, 0, 2 ** 64 - 1, 2 ** 64]),
+    "lambda1": _REAL, "lambda2": _REAL, "schedule_c": _REAL,
+    "methods": st.lists(st.sampled_from(["SPEG-s", "SPEG-g", "S-SPEG", "H-SPEG", "GD", "Adam",
+                                         "BFGS"]), max_size=3) | st.text(max_size=4),
+}
+_DROP = object()
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    raw = {**BASE_CONFIG, "max_iters": 5}
+    names = st.sampled_from(sorted(_FIELD_VALUES) + ["extra"])
+    for name in draw(st.lists(names, max_size=2, unique=True)):
+        value = draw(st.just(_DROP) | _FIELD_VALUES.get(name, _ANY_BAD) | _ANY_BAD)
+        if value is _DROP:
+            raw.pop(name, None)
+        else:
+            raw[name] = value
+    return raw if draw(st.integers(0, 7)) else draw(st.sampled_from([[raw], 5, "cfg"]))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_fuzzed_configs())
+    def test_config_error_or_complete_bundle(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg), "--out", str(out)])
+            if code == 1:
+                _assert_one_line(err.getvalue(), "config error: ")
+                assert not out.exists()
+                return
+            assert code in (0, 2)
+            for name in ("stats.json", "runmeta.json"):
+                json.loads((out / name).read_text(), parse_constant=_reject_constant)
+            with open(out / "trajectories.csv", newline="") as fh:
+                assert next(csv.reader(fh)) == ["method", "trial", "iter", "f_current",
+                                                "f_best", "grad_norm"]
 
 
 class TestSpecgradCommand:
@@ -219,6 +313,23 @@ class TestCheckCommand:
         assert main(["check", "--level", "fast"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 7 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("suite,owner,attr,corrupt", [
+        (checks.scalar_identities, checks, "afun", lambda f: lambda a, b: f(a, b) + 1e-6),
+        (checks.subgradient_inequality, checks, "specular_gradient",
+         lambda f: lambda p, x: f(p, x) + 10.0),
+        (checks.ordering_lemma, checks, "specular_from_one_sided",
+         lambda f: lambda pair, vnorm: f(pair, vnorm) + 1e-6),
+        (checks.estimator_consistency, checks, "fd_specular_directional",
+         lambda f: lambda *a: replace(f(*a), value=f(*a).value + 1e-4)),
+        (checks.quasi_mvt, specopt.specular, "specular_from_one_sided_array",
+         lambda f: lambda right, left, vnorm: np.zeros_like(f(right, left, vnorm))),
+    ], ids=["scalar", "subgradient", "ordering", "estimator", "quasi-mvt"])
+    def test_corruption_fails_the_gate_suites(self, monkeypatch, suite, owner, attr, corrupt):
+        # mutation check for the suites behind acceptance criteria 1-4 and 10
+        assert suite(100, np.random.default_rng(0)).passed
+        monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+        assert not suite(100, np.random.default_rng(0)).passed
 
     def test_corrupted_kernel_fails_ordering_suite(self, capsys, monkeypatch):
         # mutation check: negating the assembled derivative must trip the suites
