@@ -1,0 +1,6 @@
+"""``python -m specopt``: the ``specopt`` command."""
+
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

@@ -11,7 +11,8 @@ trajectories.csv (one row per method, trial, and iteration, sorted by that
 key), and runmeta.json (config echo, seed, versions, timing, trial worker
 count).  Floats serialize with shortest round-trip decimals, so reruns with
 the same seed produce byte-identical stats and trajectories.
-Exit codes: 0 success, 1 configuration error, 2 finished with failed cells.
+Exit codes: 0 success, 1 invalid input (arguments, config, SPECOPT_THREADS or
+an output path; one line on stderr), 2 finished with failed cells.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harness import ConfigError, ExperimentConfig, run_trials
+from .harness import ConfigError, ExperimentConfig, default_threads, run_trials
 from .objectives import catalog_1d_names, sum_abs, test_function_1d
 from .specular import specular_gradient
 
@@ -89,15 +90,9 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args.config, args.seed, args.trials)
-        return _execute(cfg, Path(args.out))
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args.config, args.seed, args.trials)
+    default_threads()  # reject a bad SPECOPT_THREADS before --out is made
+    return _execute(cfg, Path(args.out))
 
 
 def _parse_lambda_list(text: str | None) -> list[float]:
@@ -107,46 +102,37 @@ def _parse_lambda_list(text: str | None) -> list[float]:
     for token in text.split(","):
         token = token.strip()
         if token:
-            values.append(float(token))
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ConfigError(f"lambda value {token!r} is not a number") from None
     return values
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = _load_config(args.config, args.seed, args.trials)
-        l1s = _parse_lambda_list(args.l1)
-        l2s = _parse_lambda_list(args.l2)
-        if not l1s or not l2s:
-            raise ConfigError("sweep needs nonempty --l1 and --l2 lists")
-        # every cell is validated before any cell runs
-        cells = {}
-        for l1 in l1s:
-            for l2 in l2s:
-                name = f"l1_{l1:g}_l2_{l2:g}"
-                if name in cells:
-                    raise ConfigError(f"cells l1={cells[name].lambda1!r} l2={cells[name].lambda2!r} "
-                                      f"and l1={l1!r} l2={l2!r} share the directory {name}")
-                cells[name] = replace(base, lambda1=l1, lambda2=l2)
-    except (ConfigError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+    base = _load_config(args.config, args.seed, args.trials)
+    l1s = _parse_lambda_list(args.l1)
+    l2s = _parse_lambda_list(args.l2)
+    if not l1s or not l2s:
+        raise ConfigError("sweep needs nonempty --l1 and --l2 lists")
+    # every cell is validated before any cell runs
+    cells = {}
+    for l1 in l1s:
+        for l2 in l2s:
+            name = f"l1_{l1:g}_l2_{l2:g}"
+            if name in cells:
+                raise ConfigError(f"cells l1={cells[name].lambda1!r} l2={cells[name].lambda2!r} "
+                                  f"and l1={l1!r} l2={l2!r} share the directory {name}")
+            cells[name] = replace(base, lambda1=l1, lambda2=l2)
+    default_threads()  # as in run: a bad SPECOPT_THREADS is a config error before --out is made
     out_root = Path(args.out)
-    try:
-        out_root.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    out_root.mkdir(parents=True, exist_ok=True)
     manifest = []
     worst = 0
     for name, cfg in cells.items():
-        l1, l2 = cfg.lambda1, cfg.lambda2
-        cell_dir = out_root / name
-        try:
-            code = _execute(cfg, cell_dir)
-        except Exception as err:  # keep sweeping the remaining cells
-            print(f"cell l1={l1:g} l2={l2:g} failed: {err}", file=sys.stderr)
-            code = 2
-        manifest.append({"lambda1": l1, "lambda2": l2, "dir": cell_dir.name, "exit_code": code})
+        # an OSError (say, a cell directory that is a file) ends the sweep with exit 1
+        code = _execute(cfg, out_root / name)
+        manifest.append({"lambda1": cfg.lambda1, "lambda2": cfg.lambda2, "dir": name, "exit_code": code})
         worst = max(worst, code)
     (out_root / "index.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
                                          encoding="utf-8")
@@ -189,9 +175,20 @@ def cmd_specgrad(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line that argparse cannot parse."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors reach main, which reports them as exit 1 (not argparse's 2)."""
+
+    def error(self, message):
+        raise _UsageError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="specopt", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _ArgumentParser(prog="specopt", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a seeded experiment from a JSON config")
@@ -222,8 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; every invalid input is exit 1 with one line on stderr."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+    except (_UsageError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 1
 
 
 def entrypoint() -> None:

@@ -2,8 +2,12 @@
 
 Every member exposes ``value(x)``, ``one_sided(x, v) -> OneSidedPair``, the
 per-coordinate partials ``one_sided_basis(x)`` and a ``dimension``; the
-elastic net also ``value_and_one_sided_basis(x)``, which the optimizers use
-to get value and partials from one residual.
+elastic net and the diagonal lasso also ``value_and_one_sided_basis(x)``,
+which the optimizers use to get value and partials from one residual.
+
+The partials come back as a pair (plus, minus).  Where no coordinate sits at
+a kink the two are one array, ``plus is minus``, so the assembly can skip
+its kink handling; callers must not mutate the returned partials.
 
 Each objective is a smooth part plus a sum of one-variable terms, so its
 one-sided rule is written once, as the partials plus_i = f'(x; e_i) and
@@ -43,12 +47,13 @@ def _l1_value(smooth, x: np.ndarray, lambda1: float) -> float:
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) partials; one array returned twice when no coordinate is at a kink."""
     if lambda1 == 0.0:
-        return g, g.copy()
+        return g, g
     plus = g + lambda1 * np.sign(x)
     zero = x == 0.0
     if not zero.any():
-        return plus, plus.copy()
+        return plus, plus
     minus = plus.copy()
     plus[zero] = g[zero] + lambda1
     minus[zero] = g[zero] - lambda1
@@ -244,9 +249,12 @@ class DiagonalLasso:
     def dimension(self) -> int:
         return self.d.shape[0]
 
+    def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
+        return _l1_value(np.sum(0.5 * self.d * r ** 2), x, self.lambda1)
+
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return _l1_value(np.sum(0.5 * self.d * (x - self.b) ** 2), x, self.lambda1)
+        return self._value_at(x, x - self.b)
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (np.asarray(x, dtype=float) - self.b)
@@ -257,6 +265,12 @@ class DiagonalLasso:
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
+
+    def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """(value(x), one_sided_basis(x)) from one residual x - b, bit-identical to separate calls."""
+        x = np.asarray(x, dtype=float)
+        r = x - self.b
+        return self._value_at(x, r), _l1_one_sided_basis(self.d * r, x, self.lambda1)
 
     def minimizer(self) -> np.ndarray:
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)

@@ -166,11 +166,16 @@ def _gradient_oracle(obj):
     return oracle
 
 
+def _norm(g: np.ndarray) -> float:
+    """Euclidean norm of a float vector, the bits of np.linalg.norm without its wrapper."""
+    return math.sqrt(float(g.dot(g)))
+
+
 def _gradient_step(f: float, g):
     """(f, g, ||g||) for a step along g itself."""
     if g is None:
         return f, None, math.inf
-    return f, g, float(np.linalg.norm(g))
+    return f, g, _norm(g)
 
 
 def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_ETA) -> RunRecord:
@@ -212,7 +217,7 @@ def adam_run(obj, x0, lr: float, max_iters: int,
         second = beta2 * second + (1.0 - beta2) * g * g
         m_hat = moment / (1.0 - beta1 ** (k + 1))
         v_hat = second / (1.0 - beta2 ** (k + 1))
-        return f, m_hat / (np.sqrt(v_hat) + eps), float(np.linalg.norm(g))
+        return f, m_hat / (np.sqrt(v_hat) + eps), _norm(g)
 
     return _run_loop(evaluate, StepSchedule.constant(lr), x0, max_iters, eta=0.0)
 

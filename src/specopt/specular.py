@@ -54,9 +54,13 @@ def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray, vnorm: fl
     """Vectorized assembly for arrays of one-sided values along directions of norm vnorm.
 
     Where the two one-sided values agree the derivative is the classical one,
-    vnorm * (plus / vnorm); afun_array runs on the kink entries only.
+    vnorm * (plus / vnorm); afun_array runs on the kink entries only.  When
+    both arguments are one array (no kink anywhere) and vnorm is 1, that
+    array itself is returned, the same bits without a copy.
     """
     plus = np.asarray(plus, dtype=float)
+    if plus is minus and vnorm == 1.0 and np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD:
+        return plus
     minus = np.asarray(minus, dtype=float)
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:
         alpha = np.divide(plus, vnorm, out=np.empty(plus.shape))  # writable even when 0-d

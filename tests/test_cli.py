@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -222,6 +224,76 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"),
                      "--l1", "", "--l2", "1.0"]) == 1
 
+    def test_cell_directory_on_a_file_stops_the_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "l1_0.1_l2_1").write_text("")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1,1", "--l2", "1"]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: ")
+        assert sorted(p.name for p in out.iterdir()) == ["l1_0.1_l2_1"]  # no later cell, no index
+
+    def test_non_numeric_lambda_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1,x", "--l2", "1"]) == 1
+        _assert_one_line(capsys.readouterr().err, "config error: ")
+        assert not out.exists()
+
+
+class TestInvalidInvocation:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_fails_before_any_directory(self, tmp_path, capsys, monkeypatch,
+                                                         command, threads):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        monkeypatch.setenv("SPECOPT_THREADS", threads)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--l1", "0.1", "--l2", "1"]
+        assert main(argv) == 1
+        _assert_one_line(capsys.readouterr().err, "config error: SPECOPT_THREADS")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "c.json", "--out", "o", "--seed", "abc"],
+        ["run", "--config", "c.json"],
+        ["sweep", "--config", "c.json", "--out", "o", "--l1", "1", "--l2", "1", "--trials", "2.5"],
+        ["check", "--level", "slow"],
+        ["specgrad"],
+        ["frobnicate"],
+        [],
+    ], ids=["bad-seed", "no-out", "float-trials", "bad-level", "no-function", "bad-command", "empty"])
+    def test_argument_errors_exit_one_with_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_line(captured.err, "error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--help"])
+        assert stop.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_python_dash_m(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        ok = subprocess.run([sys.executable, "-m", "specopt", "specgrad", "abs2d", "1,0"],
+                            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+        assert ok.returncode == 0, ok.stderr
+        assert json.loads(ok.stdout)["gradient"] == [1.0, 0.0]
+        bad = subprocess.run([sys.executable, "-m", "specopt", "run", "--config", "c.json", "--out", "o",
+                              "--seed", "abc"], capture_output=True, text=True, env=env, cwd=tmp_path,
+                             timeout=60)
+        assert bad.returncode == 1 and bad.stdout == ""
+        _assert_one_line(bad.stderr, "error: argument --seed")
+
 
 # Config fuzzing: up to two fields of a small valid config are dropped or
 # replaced by a value of the wrong type, a non-finite or negative number, or
@@ -273,6 +345,81 @@ class TestConfigFuzz:
             with open(out / "trajectories.csv", newline="") as fh:
                 assert next(csv.reader(fh)) == ["method", "trial", "iter", "f_current",
                                                 "f_best", "grad_norm"]
+
+
+# Argument fuzzing: --seed and --trials are left out or set, the lambda lists of
+# sweep are set; each value set is valid or (one time in six) a malformed
+# number, an out-of-range value or an option-like token; SPECOPT_THREADS is
+# unset, valid or invalid.  At most 5 trials, so no run forks more than two
+# workers.
+_BAD_NUMBER = st.sampled_from(["", "abc", "1.5", "-x", "1e3", "0x10"])
+_GOOD_LAMBDA = st.sampled_from(["0", "0.1", "1", " 2 ", "0.1000001", "1e-300"])
+_BAD_LAMBDA = st.sampled_from(["-1", "nan", "inf", "1e400", "x", "-0.1"])
+_OPTIONS = {
+    "--seed": (st.integers(0, 2 ** 64 - 1).map(str), _BAD_NUMBER | st.sampled_from(["-1", str(2 ** 64)])),
+    "--trials": (st.integers(1, 5).map(str), _BAD_NUMBER | st.sampled_from(["0", "-2"])),
+    "--l1": (st.lists(_GOOD_LAMBDA, min_size=1, max_size=2).map(",".join),
+             st.lists(_GOOD_LAMBDA | _BAD_LAMBDA, max_size=2).map(",".join)),
+}
+_OPTIONS["--l2"] = _OPTIONS["--l1"]
+
+
+@st.composite
+def _fuzzed_arguments(draw):
+    command = draw(st.sampled_from(["run", "sweep"]))
+    names = ["--seed", "--trials"]
+    if command == "sweep" or draw(st.integers(0, 7)) == 0:  # run rejects the lambda lists
+        names += ["--l1", "--l2"]
+    args = []
+    for option in names:
+        if option.startswith("--l") or draw(st.integers(0, 3)):
+            good, bad = _OPTIONS[option]
+            value = draw(bad if draw(st.integers(0, 5)) == 0 else good)
+            args += [option, value] if draw(st.booleans()) else [f"{option}={value}"]
+    threads = draw(st.sampled_from([None, None, "1", "2", "0", "abc"]))
+    return command, args, threads
+
+
+def _assert_complete_bundle(out):
+    for name in ("stats.json", "runmeta.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    with open(out / "trajectories.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["method", "trial", "iter", "f_current", "f_best", "grad_norm"]
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(_fuzzed_arguments())
+    def test_error_line_or_complete_output(self, drawn):
+        command, args, threads = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({**BASE_CONFIG, "max_iters": 5}))
+            saved = os.environ.pop("SPECOPT_THREADS", None)
+            if threads is not None:
+                os.environ["SPECOPT_THREADS"] = threads
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(cfg), "--out", str(out), *args])
+            finally:
+                os.environ.pop("SPECOPT_THREADS", None)
+                if saved is not None:
+                    os.environ["SPECOPT_THREADS"] = saved
+            if code == 1:
+                lines = err.getvalue().strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith(("config error: ", "error: ")), lines
+                assert not out.exists()
+                return
+            assert code in (0, 2)
+            if command == "run":
+                _assert_complete_bundle(out)
+                return
+            cells = json.loads((out / "index.json").read_text(), parse_constant=_reject_constant)
+            assert cells and code == max(cell["exit_code"] for cell in cells)
+            for cell in cells:
+                _assert_complete_bundle(out / cell["dir"])
 
 
 class TestSpecgradCommand:

@@ -185,19 +185,22 @@ class TestFusedOracle:
     @pytest.mark.parametrize("lambda1", [0.0, 0.7])
     def test_equals_separate_calls_bitwise(self, lambda1):
         rng = np.random.default_rng(12)
-        p = ElasticNetProblem(rng.standard_normal((30, 8)), rng.standard_normal(30), lambda1, 0.9)
-        for trial in range(5):
-            x = rng.standard_normal(8)
-            x[rng.random(8) < 0.4] = 0.0
-            x[trial] = 0.0  # at least one exact zero
-            f, (plus, minus) = p.value_and_one_sided_basis(x)
-            ref_plus, ref_minus = p.one_sided_basis(x)
-            assert f == p.value(x)
-            assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
-            if lambda1 == 0.0:
-                assert np.array_equal(plus, minus)
-            else:
-                assert np.any(plus != minus)
+        problems = (ElasticNetProblem(rng.standard_normal((30, 8)), rng.standard_normal(30), lambda1, 0.9),
+                    DiagonalLasso(rng.uniform(0.5, 2.0, 8), rng.uniform(-3.0, 3.0, 8), lambda1))
+        for p in problems:
+            for trial in range(6):
+                x = rng.standard_normal(8)
+                if trial < 5:
+                    x[rng.random(8) < 0.4] = 0.0
+                    x[trial] = 0.0  # at least one exact zero
+                f, (plus, minus) = p.value_and_one_sided_basis(x)
+                ref_plus, ref_minus = p.one_sided_basis(x)
+                assert f == p.value(x)
+                assert plus.tobytes() == ref_plus.tobytes() and minus.tobytes() == ref_minus.tobytes()
+                # one array for both partials exactly where no coordinate is at a kink
+                assert (plus is minus) == (lambda1 == 0.0 or trial == 5)
+                if lambda1 != 0.0 and trial < 5:
+                    assert np.any(plus != minus)
 
     def test_rejects_wrong_dimension(self):
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.1, 0.1)

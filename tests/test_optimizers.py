@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specopt import objectives
+from specopt import objectives, optimizers, specular
 from specopt.objectives import DiagonalLasso, ElasticNetProblem
 from specopt.optimizers import (
     Box,
@@ -292,6 +292,48 @@ class TestFusedLoopIdentity:
 
         ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x), step)
         self._assert_same(adam_run(p, x0, lr, self.MAX_ITERS), ref)
+
+
+class TestSmoothFastPath:
+    """Smooth iterates skip the kink machinery; kinked ones still reach it."""
+
+    def _problems(self):
+        rng = rng_for(22)
+        return (DiagonalLasso(rng.uniform(0.5, 2.0, 7), rng.uniform(-3.0, 3.0, 7), 1.0),
+                ElasticNetProblem(rng.standard_normal((9, 7)), rng.standard_normal(9), 0.3, 0.7))
+
+    def test_smooth_runs_skip_the_kernel_and_the_unfused_oracle(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kink path taken on a smooth run")
+
+        monkeypatch.setattr(specular, "afun_array", forbidden)
+        monkeypatch.setattr(optimizers, "specular_gradient", forbidden)
+        x0 = rng_for(23).standard_normal(7)  # no exact zero coordinate
+        for p in self._problems():
+            for rec in (speg_run(p, x0, StepSchedule.normalized_diminishing(4.0), 200),
+                        gd_run(p, x0, 0.01, 50), adam_run(p, x0, 0.01, 50)):
+                assert rec.status == "max_iters"
+
+    def test_kinked_iterate_still_reaches_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = specular.afun_array
+        monkeypatch.setattr(specular, "afun_array", lambda a, b: calls.append(a.size) or kernel(a, b))
+        x0 = rng_for(23).standard_normal(7)
+        x0[[1, 4]] = 0.0
+        for p in self._problems():
+            calls.clear()
+            speg_run(p, x0, StepSchedule.normalized_diminishing(4.0), 3)
+            assert calls and calls[0] == 2  # both kinked coordinates of x0
+
+    def test_norm_equals_numpy_bitwise(self):
+        rng = rng_for(24)
+        vectors = [np.zeros(0), np.zeros(3), np.array([-0.0, 0.0]), np.array([3.0, 4.0]),
+                   np.array([1e200, 1e200]), np.array([1e-200, -3e-170]), np.array([np.inf, 1.0]),
+                   np.array([np.nan, 1.0])]
+        vectors += [rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8) for n in (1, 7, 100, 500)]
+        with np.errstate(over="ignore"):
+            for g in vectors:
+                assert np.float64(optimizers._norm(g)).tobytes() == np.linalg.norm(g).tobytes()
 
 
 class TestHybridRuns:

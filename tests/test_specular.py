@@ -99,6 +99,21 @@ class TestAssembly:
         with pytest.raises(HypothesisViolationError):
             specular_from_one_sided_array(np.array([INF, 1.0]), np.array([2e12, 1.0]))
 
+    @pytest.mark.parametrize("vnorm", [1.0, 0.3, 7.0])
+    def test_shared_partials_equal_copied_partials_bitwise(self, vnorm):
+        # one array passed as both partials (no kink anywhere) takes a shortcut at
+        # vnorm 1; it must give the bits of the general path for the same values
+        below = np.nextafter(1e12, 0.0)
+        p = np.array([0.0, -0.0, 1.5, -2.5e-300, 3.0e11, below, -below])
+        shared = specular_from_one_sided_array(p, p, vnorm)
+        assert shared.tobytes() == specular_from_one_sided_array(p, p.copy(), vnorm).tobytes()
+        assert shared.tobytes() == (vnorm * (p / vnorm)).tobytes()
+        for at in (np.array([1.0, 1e12]), np.array([-1e12, 1.0]), np.array([INF, 0.0])):
+            with pytest.raises(HypothesisViolationError):
+                specular_from_one_sided_array(at, at, vnorm)
+            with pytest.raises(HypothesisViolationError):
+                specular_from_one_sided_array(at, at.copy(), vnorm)
+
 
 class TestGradient:
     def test_sum_abs_at_origin(self):
