@@ -10,7 +10,9 @@ aggregates, null where no trial succeeded, and trajectories),
 trajectories.csv (one row per method, trial, and iteration, sorted by that
 key), and runmeta.json (config echo, seed, versions, timing, trial worker
 count).  Floats serialize with shortest round-trip decimals, so reruns with
-the same seed produce byte-identical stats and trajectories.
+the same seed produce byte-identical stats and trajectories.  The CSV rows of
+each trial are formatted in the worker that ran it, and a bundle's files are
+renamed into place only once all of them are written.
 Exit codes: 0 success, 1 invalid input (arguments, config, SPECOPT_THREADS or
 an output path; one line on stderr), 2 finished with failed cells.
 """
@@ -18,10 +20,12 @@ an output path; one line on stderr), 2 finished with failed cells.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,20 +54,61 @@ def _load_config(path: str, seed=None, trials=None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def format_trial_rows(trial: int, records: dict) -> dict[str, str]:
+    """The trajectories.csv rows of one trial, as one text per method.
+
+    Rows are built column-wise from ``tolist()``: ``str`` of each int and
+    ``repr`` of each float, so every float is its shortest round-trip
+    decimal.  ``run_trials`` calls this in the worker that ran the trial.
+    """
+    texts = {}
+    for method, rec in records.items():
+        row = f"{method},{trial},{{}},{{!r}},{{!r}},{{!r}}\n".format
+        texts[method] = "".join(map(row, rec.iters.tolist(), rec.f_current.tolist(),
+                                    rec.f_best.tolist(), rec.grad_norm.tolist()))
+    return texts
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_whole(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write every file of ``texts`` into out_dir, or none of them.
+
+    Each text goes to a temporary name first; only when all are written are
+    they renamed into place.  If anything raises, the temporaries and any file
+    this call already renamed into place are removed, so no file is ever left
+    truncated under its final name.
+    """
+    staged: list[Path] = []
+    placed: list[Path] = []
+    try:
+        for name, text in texts.items():
+            temp = out_dir / f".{name}.tmp"
+            staged.append(temp)  # before the write, so a half-written temporary is removed too
+            temp.write_text(text, encoding="utf-8")
+        for temp, name in zip(staged, texts):
+            os.replace(temp, out_dir / name)
+            placed.append(out_dir / name)
+    except BaseException:
+        for path in staged + placed:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time_s: float) -> None:
-    stats_doc = {method: asdict(ms) for method, ms in stats.per_method.items()}
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats_doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    """Write stats.json, trajectories.csv and runmeta.json into the existing out_dir, whole.
 
-    lines = ["method,trial,iter,f_current,f_best,grad_norm"]
-    for method in sorted(records):
-        for trial, rec in enumerate(records[method]):
-            for i in range(len(rec)):
-                lines.append(
-                    f"{method},{trial},{int(rec.iters[i])},"
-                    f"{float(rec.f_current[i])!r},{float(rec.f_best[i])!r},{float(rec.grad_norm[i])!r}")
-    (out_dir / "trajectories.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    ``stats`` and ``records`` are ``run_trials(cfg, on_trial=format_trial_rows)``'s
+    result: the CSV rows are the formatted chunks in ``stats.per_trial``.
+    """
+    if len(stats.per_trial) != cfg.trials:
+        raise ValueError("write_bundle needs run_trials(cfg, on_trial=format_trial_rows)'s stats")
+    csv_text = "".join(["method,trial,iter,f_current,f_best,grad_norm\n",
+                        *(rows[method] for method in sorted(records) for rows in stats.per_trial)])
+    # vars() is the fields themselves, no deep copy: they are JSON values already
+    stats_doc = {method: vars(ms) for method, ms in stats.per_method.items()}
     meta = {
         "config": cfg.as_dict(),
         "seed": cfg.seed,
@@ -76,15 +121,39 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
         "trial_workers": stats.workers,
         "statuses": {method: [rec.status for rec in records[method]] for method in sorted(records)},
     }
-    (out_dir / "runmeta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    _write_whole(out_dir, {"stats.json": _json_text(stats_doc), "trajectories.csv": csv_text,
+                           "runmeta.json": _json_text(meta)})
+
+
+@contextlib.contextmanager
+def _output_dir(path: Path):
+    """Make the directory ``path`` and its missing parents; if the body raises, remove them.
+
+    Only directories this call made are removed, deepest first, and only
+    while they are empty, so a sweep keeps the cells it finished.
+    """
+    made = []
+    missing = path
+    while not missing.exists() and missing != missing.parent:
+        made.append(missing)
+        missing = missing.parent
+    path.mkdir(parents=True, exist_ok=True)  # fails on a bad --out before any trial runs
+    try:
+        yield path
+    except BaseException:
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)  # fail on a bad --out before any trial runs
-    start = time.perf_counter()
-    stats, records = run_trials(cfg)
-    write_bundle(out_dir, cfg, stats, records, time.perf_counter() - start)
+    with _output_dir(out_dir):
+        start = time.perf_counter()
+        stats, records = run_trials(cfg, on_trial=format_trial_rows)
+        write_bundle(out_dir, cfg, stats, records, time.perf_counter() - start)
     failed = sum(ms.failed for ms in stats.per_method.values())
     return 2 if failed else 0
 
@@ -125,17 +194,16 @@ def cmd_sweep(args) -> int:
                                   f"and l1={l1!r} l2={l2!r} share the directory {name}")
             cells[name] = replace(base, lambda1=l1, lambda2=l2)
     default_threads()  # as in run: a bad SPECOPT_THREADS is a config error before --out is made
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
     manifest = []
     worst = 0
-    for name, cfg in cells.items():
-        # an OSError (say, a cell directory that is a file) ends the sweep with exit 1
-        code = _execute(cfg, out_root / name)
-        manifest.append({"lambda1": cfg.lambda1, "lambda2": cfg.lambda2, "dir": name, "exit_code": code})
-        worst = max(worst, code)
-    (out_root / "index.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n",
-                                         encoding="utf-8")
+    with _output_dir(Path(args.out)) as out_root:
+        for name, cfg in cells.items():
+            # an OSError (say, a cell directory that is a file) ends the sweep with exit 1
+            code = _execute(cfg, out_root / name)
+            manifest.append({"lambda1": cfg.lambda1, "lambda2": cfg.lambda2, "dir": name,
+                             "exit_code": code})
+            worst = max(worst, code)
+        _write_whole(out_root, {"index.json": json.dumps(manifest, indent=2, allow_nan=False) + "\n"})
     return worst
 
 

@@ -178,16 +178,18 @@ class MethodStats:
 class TrialStats:
     per_method: dict[str, MethodStats]
     workers: int = 1  # processes the trials ran in; 1 when serial
+    per_trial: list = field(default_factory=list)  # the on_trial hook's results, in trial order
 
 
-def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, RunRecord]:
+def _run_trial(cfg: ExperimentConfig, on_trial, trial: int):
+    """One trial's records and, with a hook, on_trial(trial, records), both made where it ran."""
     A, b, x0 = sample_instance(cfg.m, cfg.n, substream(cfg.seed, trial, 0))
     problem = ElasticNetProblem(A, b, cfg.lambda1, cfg.lambda2)
     out: dict[str, RunRecord] = {}
     for method in cfg.methods:
         rng = substream(cfg.seed, trial, 1 + METHOD_NAMES.index(method))
         out[method] = run_method(method, problem, x0, cfg, rng)
-    return out
+    return out, None if on_trial is None else on_trial(trial, out)
 
 
 def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> dict[str, MethodStats]:
@@ -244,7 +246,7 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def run_trials(cfg: ExperimentConfig, threads: int | None = None):
+def run_trials(cfg: ExperimentConfig, threads: int | None = None, on_trial=None):
     """Execute every configured method over all trials.
 
     Returns (TrialStats, records) where records maps method name to the list
@@ -255,17 +257,25 @@ def run_trials(cfg: ExperimentConfig, threads: int | None = None):
     with ``fork``; ``threads`` defaults to ``SPECOPT_THREADS``, else the CPU
     count.  With one worker, or where ``fork`` is unavailable, they run
     serially in this process.  The records are the same bits either way.
+
+    ``on_trial(trial, {method: RunRecord})``, when given, is called on each
+    trial's records in the process that ran the trial, right after it ran;
+    its results come back in ``TrialStats.per_trial``, in trial order.  In a
+    pool the hook and its results travel by pickle, so the hook must be a
+    module-level function.
     """
     threads = default_threads() if threads is None else threads
     workers = min(threads, os.cpu_count() or 1, cfg.trials)
     context = _fork_context() if workers > 1 else None
+    task = partial(_run_trial, cfg, on_trial)
     if context is not None:
         # fork starts each worker in milliseconds without re-importing numpy;
         # the executor forks all of them before it starts its own thread.
         with futures.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            per_trial = list(pool.map(partial(_run_trial, cfg), range(cfg.trials)))
+            done = list(pool.map(task, range(cfg.trials)))
     else:
         workers = 1
-        per_trial = [_run_trial(cfg, t) for t in range(cfg.trials)]
-    records = {method: [per_trial[t][method] for t in range(cfg.trials)] for method in cfg.methods}
-    return TrialStats(_aggregate(cfg, records), workers), records
+        done = [task(t) for t in range(cfg.trials)]
+    records = {method: [per_trial[method] for per_trial, _ in done] for method in cfg.methods}
+    hooked = [result for _, result in done] if on_trial is not None else []
+    return TrialStats(_aggregate(cfg, records), workers, hooked), records

@@ -93,6 +93,8 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
 
     A step of None with an infinite norm marks an iterate whose gradient
     could not be assembled; the run then stops as a numerical failure.
+    evaluate (and so the objective) must not write into x: the best iterate
+    is kept by reference, not copied.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -103,14 +105,14 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
     gn: list[float] = []
     h_trace: list[float] = []
     f_best = math.inf
-    x_best = x.copy()
+    x_best = x  # x is a private copy and each step makes a new array, so no copy is needed
     status = "max_iters"
     k = 0
     while True:
         f, g, gnorm = evaluate(k, x)
         if f < f_best:
             f_best = f
-            x_best = x.copy()
+            x_best = x
         ks.append(k)
         fc.append(f)
         fb.append(f_best)

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 import specopt.specular
 from specopt import checks, cli
 from specopt.cli import main
+from specopt.harness import ExperimentConfig, run_trials
+from specopt.optimizers import RunRecord
 
 BASE_CONFIG = {
     "m": 4, "n": 3, "lambda1": 0.1, "lambda2": 1.0,
@@ -117,21 +119,23 @@ class TestRunCommand:
         _assert_one_line(capsys.readouterr().err, "error: ")
 
     def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # the second config makes every GD cell fail, so that run exits 2
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cfg = write_config(tmp_path, methods=["SPEG-s", "S-SPEG", "GD"])
-        outs = {}
-        for threads in ("1", None):
-            if threads is None:
-                monkeypatch.delenv("SPECOPT_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("SPECOPT_THREADS", threads)
-            outs[threads] = tmp_path / f"threads-{threads}"
-            assert main(["run", "--config", str(cfg), "--out", str(outs[threads])]) == 0
-        for name in ("stats.json", "trajectories.csv"):
-            assert (outs["1"] / name).read_bytes() == (outs[None] / name).read_bytes()
-        workers = [json.loads((out / "runmeta.json").read_text())["trial_workers"]
-                   for out in outs.values()]
-        assert workers == [1, 2]
+        for lambda2, expected in ((1.0, 0), (1e6, 2)):
+            cfg = write_config(tmp_path, methods=["SPEG-s", "S-SPEG", "GD"], lambda2=lambda2)
+            outs = {}
+            for threads in ("1", None):
+                if threads is None:
+                    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+                else:
+                    monkeypatch.setenv("SPECOPT_THREADS", threads)
+                outs[threads] = tmp_path / f"lambda2-{lambda2:g}-threads-{threads}"
+                assert main(["run", "--config", str(cfg), "--out", str(outs[threads])]) == expected
+            for name in ("stats.json", "trajectories.csv"):
+                assert (outs["1"] / name).read_bytes() == (outs[None] / name).read_bytes()
+            workers = [json.loads((out / "runmeta.json").read_text())["trial_workers"]
+                       for out in outs.values()]
+            assert workers == [1, 2]
 
     def test_seed_and_trials_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -143,8 +147,6 @@ class TestRunCommand:
         assert (out1 / "stats.json").read_bytes() == (out2 / "stats.json").read_bytes()
 
     def test_csv_round_trip_and_sort_order(self, tmp_path):
-        from specopt.harness import ExperimentConfig, run_trials
-
         cfg_path = write_config(tmp_path)
         out = tmp_path / "o"
         main(["run", "--config", str(cfg_path), "--out", str(out)])
@@ -164,6 +166,164 @@ class TestRunCommand:
             assert np.array_equal(got_f, rec.f_current)  # exact decimal round trip
             assert np.array_equal(got_b, rec.f_best)
             assert np.array_equal(got_g, rec.grad_norm)
+
+
+def _per_element_rows(records):
+    """The CSV body as the old per-element loop wrote it: the reference for format_trial_rows."""
+    lines = []
+    for method in sorted(records):
+        for trial, rec in enumerate(records[method]):
+            for i in range(len(rec)):
+                lines.append(
+                    f"{method},{trial},{int(rec.iters[i])},"
+                    f"{float(rec.f_current[i])!r},{float(rec.f_best[i])!r},{float(rec.grad_norm[i])!r}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _record(f_current, grad_norm, status):
+    f_current = np.asarray(f_current, dtype=float)
+    return RunRecord(iters=np.arange(f_current.size), f_current=f_current,
+                     f_best=np.minimum.accumulate(f_current), grad_norm=np.asarray(grad_norm, dtype=float),
+                     status=status, x_best=np.zeros(1), h_trace=np.zeros(0))
+
+
+class TestTrialRows:
+    def test_equals_per_element_loop_bitwise(self):
+        cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "lambda2": 1e6, "methods": ["GD", "SPEG-s"]})
+        _, records = run_trials(cfg, threads=1)
+        assert records["GD"][0].status == "numerical_failure"
+        assert math.isinf(records["GD"][0].grad_norm[-1])
+        records["Adam"] = [
+            _record([1 / 3, -0.0, 5e-324, 1e16], [1e16, 5e-324, -0.0, 1 / 3], "max_iters"),
+            _record([2.0, math.inf, math.nan], [1.0, math.nan, math.inf], "numerical_failure"),
+        ]
+        per_trial = [cli.format_trial_rows(t, {m: runs[t] for m, runs in records.items()})
+                     for t in range(2)]
+        for trial, texts in enumerate(per_trial):
+            for method, text in texts.items():
+                assert text == _per_element_rows({method: [records[method][trial]]}).replace(
+                    f"{method},0,", f"{method},{trial},")
+        body = "".join(rows[m] for m in sorted(records) for rows in per_trial)
+        assert body == _per_element_rows(records)
+        assert "Adam,1,1,inf,2.0,nan\n" in body and "Adam,0,1,-0.0,-0.0,5e-324\n" in body
+        assert "Adam,0,3,1e+16,-0.0,0.3333333333333333\n" in body
+
+    def test_bundle_csv_equals_per_element_loop(self, tmp_path):
+        cfg = write_config(tmp_path, lambda2=1e6, methods=["SPEG-s", "GD", "Adam"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        _, records = run_trials(ExperimentConfig.from_dict(json.loads(cfg.read_text())))
+        header = "method,trial,iter,f_current,f_best,grad_norm\n"
+        assert (out / "trajectories.csv").read_text() == header + _per_element_rows(records)
+
+    def test_write_bundle_rejects_stats_without_rows(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+        stats, records = run_trials(cfg, threads=1)
+        with pytest.raises(ValueError, match="on_trial=format_trial_rows"):
+            cli.write_bundle(tmp_path, cfg, stats, records, 0.0)
+        assert _tree(tmp_path) == []
+
+
+def _fail_second_write(monkeypatch, error, at=2):
+    """Make the at-th Path.write_text call write half its text, then raise error."""
+    calls = []
+    real = Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == at:
+            real(self, data[: len(data) // 2], *args, **kwargs)
+            raise error
+        return real(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return calls
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+class TestWholeBundles:
+    @pytest.mark.parametrize("out", ["o", "a/b/o"])
+    def test_failed_write_leaves_no_bundle_and_no_directory(self, tmp_path, capsys, monkeypatch, out):
+        cfg = write_config(tmp_path)
+        calls = _fail_second_write(monkeypatch, OSError("disk full"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: disk full")
+        assert [p.name for p in calls] == [".stats.json.tmp", ".trajectories.csv.tmp"]
+        assert _tree(tmp_path) == ["cfg.json"]
+
+    def test_any_exception_cleans_up(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        _fail_second_write(monkeypatch, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert _tree(tmp_path) == ["cfg.json"]
+
+    def test_failed_rewrite_keeps_the_earlier_bundle(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        _fail_second_write(monkeypatch, OSError("disk full"))
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_rename_removes_the_files_already_placed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        (out / "trajectories.csv").mkdir(parents=True)  # stats.json is renamed into place first
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: ")
+        assert _tree(out) == ["trajectories.csv"]
+
+    def test_failed_rename_over_an_earlier_bundle_leaves_it_without_the_placed_files(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real, renamed = os.replace, []
+
+        def replace_once(src, dst):
+            if renamed:
+                raise OSError("rename failed")
+            renamed.append(dst)
+            return real(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_once)
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: rename failed")
+        # stats.json had replaced the earlier one and is removed; the rest of the earlier bundle stays
+        assert renamed == [out / "stats.json"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: data for name, data in before.items() if name != "stats.json"}
+
+    def test_sweep_failed_first_cell_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, trials=1, max_iters=5)
+        _fail_second_write(monkeypatch, OSError("disk full"))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1,1", "--l2", "1"]) == 1
+        _assert_one_line(capsys.readouterr().err, "error: disk full")
+        assert _tree(tmp_path) == ["cfg.json"]
+
+    def test_sweep_failed_later_cell_keeps_finished_cells_without_index(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, trials=1, max_iters=5)
+        _fail_second_write(monkeypatch, OSError("disk full"), at=5)  # second cell, second file
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1,1", "--l2", "1"]) == 1
+        assert _tree(out) == ["l1_0.1_l2_1", "l1_0.1_l2_1/runmeta.json", "l1_0.1_l2_1/stats.json",
+                              "l1_0.1_l2_1/trajectories.csv"]
+        _assert_complete_bundle(out / "l1_0.1_l2_1")
+
+    def test_sweep_failed_index_leaves_no_index(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, trials=1, max_iters=5)
+        _fail_second_write(monkeypatch, OSError("disk full"), at=4)  # the index, after one cell
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1", "--l2", "1"]) == 1
+        assert not (out / "index.json").exists() and not (out / ".index.json.tmp").exists()
+        _assert_complete_bundle(out / "l1_0.1_l2_1")
 
 
 class TestSweepCommand:
@@ -350,8 +510,9 @@ class TestConfigFuzz:
 # Argument fuzzing: --seed and --trials are left out or set, the lambda lists of
 # sweep are set; each value set is valid or (one time in six) a malformed
 # number, an out-of-range value or an option-like token; SPECOPT_THREADS is
-# unset, valid or invalid.  At most 5 trials, so no run forks more than two
-# workers.
+# unset, valid or invalid; --out is a fresh path, a fresh path two directories
+# deep, an existing empty directory, an existing file or a path under a file.
+# At most 5 trials, so no run forks more than two workers.
 _BAD_NUMBER = st.sampled_from(["", "abc", "1.5", "-x", "1e3", "0x10"])
 _GOOD_LAMBDA = st.sampled_from(["0", "0.1", "1", " 2 ", "0.1000001", "1e-300"])
 _BAD_LAMBDA = st.sampled_from(["-1", "nan", "inf", "1e400", "x", "-0.1"])
@@ -377,7 +538,21 @@ def _fuzzed_arguments(draw):
             value = draw(bad if draw(st.integers(0, 5)) == 0 else good)
             args += [option, value] if draw(st.booleans()) else [f"{option}={value}"]
     threads = draw(st.sampled_from([None, None, "1", "2", "0", "abc"]))
-    return command, args, threads
+    out = draw(st.sampled_from(["fresh", "nested", "empty-dir", "file", "under-file"]))
+    return command, args, threads, out
+
+
+_OUT_PATHS = {"fresh": "out", "nested": "new/deeper/out", "empty-dir": "out", "file": "out",
+              "under-file": "out/sub"}
+
+
+def _make_out(tmp, kind):
+    """Prepare the --out of one fuzzed command in tmp and return it."""
+    if kind == "empty-dir":
+        (tmp / "out").mkdir()
+    elif kind in ("file", "under-file"):
+        (tmp / "out").write_text("")
+    return tmp / _OUT_PATHS[kind]
 
 
 def _assert_complete_bundle(out):
@@ -391,11 +566,12 @@ class TestArgumentFuzz:
     @settings(max_examples=100, deadline=None)
     @given(_fuzzed_arguments())
     def test_error_line_or_complete_output(self, drawn):
-        command, args, threads = drawn
+        command, args, threads, out_kind = drawn
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out"
+            out = _make_out(Path(tmp), out_kind)
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps({**BASE_CONFIG, "max_iters": 5}))
+            before = _tree(Path(tmp))
             saved = os.environ.pop("SPECOPT_THREADS", None)
             if threads is not None:
                 os.environ["SPECOPT_THREADS"] = threads
@@ -410,9 +586,9 @@ class TestArgumentFuzz:
             if code == 1:
                 lines = err.getvalue().strip().splitlines()
                 assert len(lines) == 1 and lines[0].startswith(("config error: ", "error: ")), lines
-                assert not out.exists()
+                assert _tree(Path(tmp)) == before  # no output directory or file was left
                 return
-            assert code in (0, 2)
+            assert code in (0, 2) and out_kind not in ("file", "under-file")
             if command == "run":
                 _assert_complete_bundle(out)
                 return

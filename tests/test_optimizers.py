@@ -85,6 +85,24 @@ class TestSpegRuns:
         assert np.array_equal(rec.f_best, np.minimum.accumulate(rec.f_current))
         assert rec.final_f_best == pytest.approx(p.value(rec.x_best), rel=1e-15)
 
+    @pytest.mark.parametrize("max_iters", [0, 50])
+    def test_best_iterate_is_a_private_array(self, max_iters):
+        # the loop keeps the best iterate by reference; it must never be the caller's x0
+        rng = rng_for(1)
+        p = ElasticNetProblem(rng.standard_normal((6, 4)), rng.standard_normal(6), 0.5, 0.1)
+        x0 = rng.standard_normal(4)
+        start = x0.copy()
+        rec = speg_run(p, x0, StepSchedule.normalized_diminishing(4.0), max_iters)
+        assert rec.x_best is not x0 and not np.shares_memory(rec.x_best, x0)
+        best = rec.x_best.copy()
+        x0[:] = 7.0
+        assert np.array_equal(rec.x_best, best)
+        assert p.value(rec.x_best) == rec.final_f_best
+        if max_iters == 0:
+            assert np.array_equal(rec.x_best, start)
+        else:
+            assert rec.final_f_best < rec.f_current[0]
+
     def test_numerical_failure_preserves_prefix(self):
         # a huge constant step on a strongly convex problem oscillates to overflow
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.0, 1e6)

@@ -5,6 +5,7 @@ so renaming or deleting one of those names would otherwise only show up as a
 crash in a traced benchmark run.
 """
 
+import json
 from pathlib import Path
 
 import specopt.checks  # noqa: F401  (the tracer wraps names in every module)
@@ -30,3 +31,29 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
     assert left == []
     assert specular.afun_array is originals["afun_array"]
     assert objectives.ElasticNetProblem.__dict__["value"] is originals["value"]
+
+
+def test_bundle_span_counts_a_real_run(tmp_path, monkeypatch):
+    # serial, so the trial cells run in this process, under the tracer's wrappers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("SPECOPT_THREADS", "1")
+    import tracing
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 4, "n": 3, "lambda1": 0.1, "lambda2": 1.0, "trials": 2,
+                               "max_iters": 10, "methods": ["SPEG-s", "GD"], "seed": 5}))
+    out = tmp_path / "out"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert specopt.cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        assert tracer.uninstall() == []
+    [span] = [s for s in tracer.spans if s["name"] == "cli.write_bundle"]
+    csv_rows = len((out / "trajectories.csv").read_text().splitlines()) - 1
+    assert span["rows"] == csv_rows == 2 * 2 * 11
+    assert span["bytes"] == sum(p.stat().st_size for p in out.iterdir()) > 0
+    assert sorted(p.name for p in out.iterdir()) == ["runmeta.json", "stats.json", "trajectories.csv"]
+    metrics = tracer.metrics()
+    assert metrics["optimizers.iters"] == csv_rows
+    assert metrics["cli.bundle_bytes"] == span["bytes"]
