@@ -158,9 +158,10 @@ def basic_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
         lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 1.0)
         x0 = rng.standard_normal(n)
         record = speg_run(lasso, x0, StepSchedule.normalized_diminishing(4.0), iters)
-        fstar = lasso.value(lasso.minimizer())
-        bounds = basic_inequality_bound(x0, lasso.minimizer(),
-                                        zip(record.h_trace, record.grad_norm[: record.h_trace.size]))
+        xstar = lasso.minimizer()
+        fstar = lasso.value(xstar)
+        trace = np.column_stack((record.h_trace, record.grad_norm[: record.h_trace.size]))
+        bounds = basic_inequality_bound(x0, xstar, trace)
         gaps = record.f_best[: bounds.size] - fstar
         worst = max(worst, float((gaps - bounds).max()))
     passed = worst <= 1e-9

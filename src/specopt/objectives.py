@@ -43,7 +43,7 @@ class Objective(Protocol):
 # helpers add the penalty to the value or to the smooth gradient g.
 
 def _l1_value(smooth, x: np.ndarray, lambda1: float) -> float:
-    return float(smooth + lambda1 * np.abs(x).sum())
+    return float(smooth) + lambda1 * float(np.abs(x).sum())
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -51,9 +51,9 @@ def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[n
     if lambda1 == 0.0:
         return g, g
     plus = g + lambda1 * np.sign(x)
-    zero = x == 0.0
-    if not zero.any():
+    if np.count_nonzero(x) == x.size:  # no entry is 0.0 or -0.0 (NaN counts as nonzero)
         return plus, plus
+    zero = x == 0.0
     minus = plus.copy()
     plus[zero] = g[zero] + lambda1
     minus[zero] = g[zero] - lambda1
@@ -244,13 +244,14 @@ class DiagonalLasso:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
+        object.__setattr__(self, "_half_d", 0.5 * d)
 
     @property
     def dimension(self) -> int:
         return self.d.shape[0]
 
     def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value(np.sum(0.5 * self.d * r ** 2), x, self.lambda1)
+        return _l1_value((self._half_d * (r * r)).sum(), x, self.lambda1)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

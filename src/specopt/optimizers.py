@@ -39,8 +39,8 @@ class StepSchedule:
 
     @classmethod
     def normalized_diminishing(cls, c: float) -> "StepSchedule":
-        if not c > 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError("c must be positive and finite")
         return cls("normalized_diminishing", float(c))
 
     @classmethod
@@ -51,8 +51,8 @@ class StepSchedule:
 
     @classmethod
     def constant(cls, h: float) -> "StepSchedule":
-        if not h > 0.0:
-            raise ValueError("h must be positive")
+        if not 0.0 < h < math.inf:
+            raise ValueError("h must be positive and finite")
         return cls("constant", float(h))
 
     def step_size(self, k: int, grad_norm: float) -> float:
@@ -104,6 +104,7 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
     fb: list[float] = []
     gn: list[float] = []
     h_trace: list[float] = []
+    step_size = sched.step_size
     f_best = math.inf
     x_best = x  # x is a private copy and each step makes a new array, so no copy is needed
     status = "max_iters"
@@ -126,7 +127,7 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
         if k >= max_iters:
             status = "max_iters"
             break
-        h = sched.step_size(k, gnorm)
+        h = step_size(k, gnorm)
         x = x - h * g
         h_trace.append(h)
         k += 1
@@ -141,43 +142,43 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
     )
 
 
-def _assembled(assemble, *args):
-    """assemble(*args), or None where the one-sided values are both infinite with one sign.
-
-    That happens once an iterate has diverged far enough to promote a smooth
-    slope to infinity; the loop then reports the run as failed, keeping the
-    record so far.
-    """
-    try:
-        return assemble(*args)
-    except HypothesisViolationError:
-        return None
-
-
-def _gradient_oracle(obj):
-    """x -> (f(x), specular gradient at x or None), from one residual where obj allows."""
-    fused = getattr(obj, "value_and_one_sided_basis", None)
-    if fused is None:
-        def oracle(x):
-            g = _assembled(specular_gradient, obj, x)
-            return float(obj.value(x)), g
-    else:
-        def oracle(x):
-            f, (plus, minus) = fused(x)
-            return f, _assembled(specular_from_one_sided_array, plus, minus)
-    return oracle
-
-
 def _norm(g: np.ndarray) -> float:
     """Euclidean norm of a float vector, the bits of np.linalg.norm without its wrapper."""
     return math.sqrt(float(g.dot(g)))
 
 
-def _gradient_step(f: float, g):
-    """(f, g, ||g||) for a step along g itself."""
-    if g is None:
-        return f, None, math.inf
-    return f, g, _norm(g)
+def _assembling_oracle(value_and_partials):
+    """The loop's evaluate(k, x) -> (f, g, ||g||) for f, (plus, minus) = value_and_partials(x).
+
+    g is the specular gradient assembled from the partials; k is ignored.
+    Where the one-sided values are both infinite with one sign, g is None and
+    its norm infinite.  That happens once an iterate has diverged far enough
+    to promote a smooth slope to infinity; the loop then reports the run as
+    failed, keeping the record so far.
+    """
+    def evaluate(k, x):
+        f, (plus, minus) = value_and_partials(x)
+        try:
+            g = specular_from_one_sided_array(plus, minus)
+        except HypothesisViolationError:
+            return f, None, math.inf
+        return f, g, _norm(g)
+    return evaluate
+
+
+def _gradient_oracle(obj):
+    """The loop's evaluate(k, x) -> (f(x), g, ||g||), g the specular gradient of obj at x or None."""
+    fused = getattr(obj, "value_and_one_sided_basis", None)
+    if fused is not None:
+        return _assembling_oracle(fused)
+
+    def evaluate(k, x):
+        try:
+            g = specular_gradient(obj, x)
+        except HypothesisViolationError:
+            return float(obj.value(x)), None, math.inf
+        return float(obj.value(x)), g, _norm(g)
+    return evaluate
 
 
 def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_ETA) -> RunRecord:
@@ -187,8 +188,7 @@ def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_
     point; with a gradient-normalized schedule this also avoids dividing by
     zero).
     """
-    oracle = _gradient_oracle(obj)
-    return _run_loop(lambda k, x: _gradient_step(*oracle(x)), sched, x0, max_iters, eta)
+    return _run_loop(_gradient_oracle(obj), sched, x0, max_iters, eta)
 
 
 def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
@@ -203,8 +203,8 @@ def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
 def adam_run(obj, x0, lr: float, max_iters: int,
              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> RunRecord:
     """Adam with bias correction, driven by the specular gradient."""
-    if not lr > 0.0:
-        raise ValueError("lr must be positive")
+    if not 0.0 < lr < math.inf:
+        raise ValueError("lr must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     moment = np.zeros_like(x0)
     second = np.zeros_like(x0)
@@ -212,14 +212,14 @@ def adam_run(obj, x0, lr: float, max_iters: int,
 
     def evaluate(k, x):
         nonlocal moment, second
-        f, g = oracle(x)
+        f, g, gnorm = oracle(k, x)
         if g is None:
-            return f, None, math.inf
+            return f, None, gnorm
         moment = beta1 * moment + (1.0 - beta1) * g
         second = beta2 * second + (1.0 - beta2) * g * g
         m_hat = moment / (1.0 - beta1 ** (k + 1))
         v_hat = second / (1.0 - beta2 ** (k + 1))
-        return f, m_hat / (np.sqrt(v_hat) + eps), _norm(g)
+        return f, m_hat / (np.sqrt(v_hat) + eps), gnorm
 
     return _run_loop(evaluate, StepSchedule.constant(lr), x0, max_iters, eta=0.0)
 
@@ -227,15 +227,13 @@ def adam_run(obj, x0, lr: float, max_iters: int,
 def _stochastic_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: int,
                     eta: float, rng, switch_k: int) -> RunRecord:
     """Full specular gradient at iterations k < switch_k, one sampled term's after."""
-    oracle = _gradient_oracle(problem)
+    full = _gradient_oracle(problem)
     m = problem.m
+    sampled = _assembling_oracle(
+        lambda x: (float(problem.value(x)), problem.component_one_sided_basis(int(rng.integers(m)), x)))
 
     def evaluate(k, x):
-        if k < switch_k:
-            return _gradient_step(*oracle(x))
-        j = int(rng.integers(m))
-        plus, minus = problem.component_one_sided_basis(j, x)
-        return _gradient_step(float(problem.value(x)), _assembled(specular_from_one_sided_array, plus, minus))
+        return full(k, x) if k < switch_k else sampled(k, x)
 
     return _run_loop(evaluate, sched, x0, max_iters, eta)
 
@@ -315,8 +313,8 @@ class Box:
 
 def projected_speg_step(x, g, h: float, constraint) -> np.ndarray:
     """One projected update: the orthogonal projection of x - h g onto the set."""
-    if not h > 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size must be positive and finite")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
     return constraint.project(x - h * g)
@@ -327,16 +325,18 @@ def basic_inequality_bound(x0, xstar, schedule_trace) -> np.ndarray:
 
     Entry k is (||x0 - xstar||^2 + sum_{l<=k} h_l^2 ||g_l||^2) / (2 sum_{l<=k} h_l),
     valid against f(best iterate among x_0..x_k) - f(xstar) when xstar is a
-    minimizer.  schedule_trace is a sequence of (h_k, grad_norm_k) pairs.
+    minimizer.  schedule_trace holds the (h_k, grad_norm_k) pairs: a (k, 2)
+    array, or any iterable of pairs.
     """
-    trace = list(schedule_trace)
-    if not trace:
-        raise ValueError("schedule trace must be nonempty")
+    if not isinstance(schedule_trace, np.ndarray):
+        schedule_trace = list(schedule_trace)
+    trace = np.asarray(schedule_trace, dtype=float)
+    if trace.ndim != 2 or trace.shape[0] == 0 or trace.shape[1] != 2:
+        raise ValueError("schedule trace must be a nonempty sequence of (h, grad_norm) pairs")
     x0 = np.asarray(x0, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     r2 = float(np.dot(x0 - xstar, x0 - xstar))
-    hs = np.asarray([h for h, _ in trace], dtype=float)
-    gs = np.asarray([g for _, g in trace], dtype=float)
+    hs, gs = trace[:, 0], trace[:, 1]
     num = r2 + np.cumsum(hs * hs * gs * gs)
     den = 2.0 * np.cumsum(hs)
     return num / den

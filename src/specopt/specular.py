@@ -15,6 +15,9 @@ import numpy as np
 from .scalar import INFINITY_THRESHOLD, afun, afun_array, ensure_extended, promote_extended
 
 
+_SQUARED_THRESHOLD = INFINITY_THRESHOLD * INFINITY_THRESHOLD
+
+
 class HypothesisViolationError(ValueError):
     """Both one-sided derivatives are infinite with the same sign."""
 
@@ -55,11 +58,16 @@ def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray, vnorm: fl
 
     Where the two one-sided values agree the derivative is the classical one,
     vnorm * (plus / vnorm); afun_array runs on the kink entries only.  When
-    both arguments are one array (no kink anywhere) and vnorm is 1, that
-    array itself is returned, the same bits without a copy.
+    both arguments are one array of at most one dimension (no kink anywhere)
+    and vnorm is 1, that array itself is returned, the same bits without a
+    copy.  That shortcut screens magnitudes by the squared norm, which is at
+    least INFINITY_THRESHOLD ** 2 whenever one entry is at or past the
+    threshold (and NaN when one is NaN), so it never admits an entry the
+    general path would promote or reject; what it turns away takes the
+    general path.
     """
     plus = np.asarray(plus, dtype=float)
-    if plus is minus and vnorm == 1.0 and np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD:
+    if plus is minus and vnorm == 1.0 and plus.ndim <= 1 and plus.dot(plus) < _SQUARED_THRESHOLD:
         return plus
     minus = np.asarray(minus, dtype=float)
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:

@@ -202,6 +202,33 @@ class TestFusedOracle:
                 if lambda1 != 0.0 and trial < 5:
                     assert np.any(plus != minus)
 
+    @pytest.mark.parametrize("x", [[1.0, -2.0, 3.0], [1.0, -0.0, 3.0], [0.0, 2.0, 1.0],
+                                   [math.nan, 1.0, 2.0], [math.inf, -math.inf, 1.0],
+                                   [math.nan, -0.0, math.inf]])
+    def test_shared_partials_exactly_off_kinks(self, x):
+        # a kink is an entry equal to 0.0 or -0.0; NaN and +-inf are not kinks
+        x = np.array(x)
+        g = np.array([0.5, -1.5, 2.0])
+        zero = x == 0.0
+        with np.errstate(invalid="ignore"):
+            plus, minus = objectives._l1_one_sided_basis(g, x, 0.7)
+            smooth = g + 0.7 * np.sign(x)
+        assert (plus is minus) == (not zero.any())
+        assert plus.tobytes() == np.where(zero, g + 0.7, smooth).tobytes()
+        assert minus.tobytes() == np.where(zero, g - 0.7, smooth).tobytes()
+
+    def test_lasso_value_equals_the_plain_formula_bitwise(self):
+        rng = np.random.default_rng(13)
+        for lambda1 in (0.0, 0.8):
+            d, b = rng.uniform(0.5, 2.0, 11), rng.uniform(-3.0, 3.0, 11)
+            lasso = DiagonalLasso(d, b, lambda1)
+            for _ in range(50):
+                x = rng.standard_normal(11) * 10.0 ** rng.uniform(-3, 3)
+                x[rng.random(11) < 0.3] = 0.0
+                expected = float(np.sum(0.5 * d * (x - b) ** 2) + lambda1 * np.abs(x).sum())
+                assert lasso.value(x) == expected
+                assert lasso.value_and_one_sided_basis(x)[0] == expected
+
     def test_rejects_wrong_dimension(self):
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.1, 0.1)
         with pytest.raises(ValueError):

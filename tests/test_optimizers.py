@@ -45,11 +45,17 @@ class TestSchedules:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StepSchedule.normalized_diminishing(0.0)
-        with pytest.raises(ValueError):
             StepSchedule.geometric(1.0)
-        with pytest.raises(ValueError):
-            StepSchedule.constant(-1.0)
+        # an infinite or NaN step parameter is refused, not run into a numerical failure
+        lasso = DiagonalLasso(np.ones(2), np.zeros(2), 1.0)
+        for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
+            for make in (StepSchedule.normalized_diminishing, StepSchedule.geometric, StepSchedule.constant):
+                with pytest.raises(ValueError):
+                    make(bad)
+            with pytest.raises(ValueError):
+                adam_run(lasso, np.ones(2), bad, 5)
+            with pytest.raises(ValueError):
+                gd_run(lasso, np.ones(2), bad, 5)
 
 
 class TestSpegRuns:
@@ -240,6 +246,15 @@ def reference_run(problem, x0, max_iters, eta, gradient, step):
     return f_current, f_best, grad_norm
 
 
+def _lasso_start(lambda1):
+    rng = rng_for(25)
+    lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 9), rng.uniform(-3.0, 3.0, 9), lambda1)
+    x0 = rng.standard_normal(9)
+    x0[::3] = 0.0
+    x0[4] = -0.0
+    return lasso, x0
+
+
 class TestFusedLoopIdentity:
     """Every method's record equals, bit for bit, the plain loop over the separate oracle calls."""
 
@@ -253,13 +268,18 @@ class TestFusedLoopIdentity:
         x0[::3] = 0.0  # start on kinks, where the assembly takes the afun branch
         return p, x0
 
+    def _problems(self):
+        """The elastic net of the table runs, and the diagonal lasso the check suites run,
+        the latter also with lambda1 = 0, where no iterate is ever at a kink."""
+        return self._problem(), _lasso_start(1.0), _lasso_start(0.0)
+
     def _assert_same(self, rec, ref):
         assert np.array_equal(rec.f_current, ref[0])
         assert np.array_equal(rec.f_best, ref[1])
         assert np.array_equal(rec.grad_norm, ref[2])
 
-    def _scheduled(self, k, g, gnorm):
-        return self.SCHED.step_size(k, gnorm) * g
+    def _scheduled(self, k, g, gnorm, sched=SCHED):
+        return sched.step_size(k, gnorm) * g
 
     def _mixed(self, p, switch_k, rng):
         def gradient(k, x):
@@ -269,10 +289,11 @@ class TestFusedLoopIdentity:
         return gradient
 
     def test_speg(self):
-        p, x0 = self._problem()
-        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, lambda k, x: specular_gradient(p, x),
-                            self._scheduled)
-        self._assert_same(speg_run(p, x0, self.SCHED, self.MAX_ITERS), ref)
+        for p, x0 in self._problems():
+            for sched in (self.SCHED, StepSchedule.geometric(0.9)):  # SPEG-s, SPEG-g
+                ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, lambda k, x: specular_gradient(p, x),
+                                    lambda k, g, gnorm: self._scheduled(k, g, gnorm, sched))
+                self._assert_same(speg_run(p, x0, sched, self.MAX_ITERS), ref)
 
     def test_sspeg(self):
         p, x0 = self._problem()
@@ -291,25 +312,25 @@ class TestFusedLoopIdentity:
         self._assert_same(rec, ref)
 
     def test_gd(self):
-        p, x0 = self._problem()
-        ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
-                            lambda k, g, gnorm: 0.01 * g)
-        self._assert_same(gd_run(p, x0, 0.01, self.MAX_ITERS), ref)
+        for p, x0 in self._problems():
+            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
+                                lambda k, g, gnorm: 0.01 * g)
+            self._assert_same(gd_run(p, x0, 0.01, self.MAX_ITERS), ref)
 
     def test_adam(self):
-        p, x0 = self._problem()
         beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
-        state = {"m": np.zeros_like(x0), "v": np.zeros_like(x0)}
+        for p, x0 in self._problems():
+            state = {"m": np.zeros_like(x0), "v": np.zeros_like(x0)}
 
-        def step(k, g, gnorm):
-            state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-            state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-            m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
-            v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
-            return lr * (m_hat / (np.sqrt(v_hat) + eps))
+            def step(k, g, gnorm):
+                state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+                state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+                m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
+                v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
+                return lr * (m_hat / (np.sqrt(v_hat) + eps))
 
-        ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x), step)
-        self._assert_same(adam_run(p, x0, lr, self.MAX_ITERS), ref)
+            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x), step)
+            self._assert_same(adam_run(p, x0, lr, self.MAX_ITERS), ref)
 
 
 class TestSmoothFastPath:
@@ -408,6 +429,11 @@ class TestProjection:
         out = projected_speg_step([1.0, 1.0], [1.0, -1.0], 0.5, ball)
         assert np.array_equal(out, [0.5, 1.5])
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
+    def test_step_size_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError):
+            projected_speg_step(np.ones(3), np.ones(3), h, Box(-1.0, 1.0))
+
     def test_malformed_sets(self):
         with pytest.raises(ValueError):
             EuclideanBall(np.zeros(2), 0.0)
@@ -423,6 +449,18 @@ class TestBasicInequality:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             basic_inequality_bound([1.0], [0.0], [])
+
+    @pytest.mark.parametrize("trace", [np.zeros((0, 2)), [1.0, 2.0], np.ones((3, 3))])
+    def test_malformed_array_trace_rejected(self, trace):
+        with pytest.raises(ValueError):
+            basic_inequality_bound([1.0], [0.0], trace)
+
+    def test_array_trace_equals_pairs_bitwise(self):
+        rng = rng_for(26)
+        hs, gs = rng.uniform(0.0, 1.0, 500), rng.uniform(0.0, 5.0, 500)
+        from_pairs = basic_inequality_bound([1.0, -2.0], [0.5, 0.0], zip(hs, gs))
+        from_array = basic_inequality_bound([1.0, -2.0], [0.5, 0.0], np.column_stack((hs, gs)))
+        assert from_array.tobytes() == from_pairs.tobytes()
 
     def test_bound_holds_on_oracle_run(self):
         rng = rng_for(12)

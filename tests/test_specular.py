@@ -102,17 +102,26 @@ class TestAssembly:
     @pytest.mark.parametrize("vnorm", [1.0, 0.3, 7.0])
     def test_shared_partials_equal_copied_partials_bitwise(self, vnorm):
         # one array passed as both partials (no kink anywhere) takes a shortcut at
-        # vnorm 1; it must give the bits of the general path for the same values
+        # vnorm 1; it must give the bits of the general path for the same values.
+        # The shortcut screens by the squared norm, so the last vector, every
+        # entry below the threshold but a squared norm past 1e24, is turned away
+        # to the general path.
         below = np.nextafter(1e12, 0.0)
-        p = np.array([0.0, -0.0, 1.5, -2.5e-300, 3.0e11, below, -below])
-        shared = specular_from_one_sided_array(p, p, vnorm)
-        assert shared.tobytes() == specular_from_one_sided_array(p, p.copy(), vnorm).tobytes()
-        assert shared.tobytes() == (vnorm * (p / vnorm)).tobytes()
+        for p in (np.array([0.0, -0.0, 1.5, -2.5e-300, 3.0e11, below, -below]), np.full(3, 9e11)):
+            shared = specular_from_one_sided_array(p, p, vnorm)
+            assert shared.tobytes() == specular_from_one_sided_array(p, p.copy(), vnorm).tobytes()
+            assert shared.tobytes() == (vnorm * (p / vnorm)).tobytes()
         for at in (np.array([1.0, 1e12]), np.array([-1e12, 1.0]), np.array([INF, 0.0])):
             with pytest.raises(HypothesisViolationError):
                 specular_from_one_sided_array(at, at, vnorm)
             with pytest.raises(HypothesisViolationError):
                 specular_from_one_sided_array(at, at.copy(), vnorm)
+        at = np.array([1.0, math.nan])
+        with pytest.raises(ValueError) as shared_err:
+            specular_from_one_sided_array(at, at, vnorm)
+        with pytest.raises(ValueError) as copied_err:
+            specular_from_one_sided_array(at, at.copy(), vnorm)
+        assert (type(shared_err.value), str(shared_err.value)) == (type(copied_err.value), str(copied_err.value))
 
 
 class TestGradient:
