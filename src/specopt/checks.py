@@ -10,11 +10,14 @@ suites with the gate's own sample counts and streams.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import specular
+from .harness import default_threads, fork_map
 from .objectives import DiagonalLasso, ElasticNetProblem, catalog_1d_names, test_function_1d
 from .optimizers import StepSchedule, basic_inequality_bound, speg_run
 from .scalar import afun, afun_tan_form, bfun
@@ -179,12 +182,34 @@ SUITES = (
 )
 
 
+def _run_suite(samples: int, seed: int, i: int) -> SuiteResult:
+    """Suite ``SUITES[i]`` on its own stream.
+
+    Workers get the index, not the suite, and look the suite up after the
+    fork, so a suite wrapped in a closure (as by a profiler) need not pickle.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+    return SUITES[i](samples, rng)
+
+
 def run_suites(level: str, seed: int = 20_260_810) -> list[SuiteResult]:
+    """Every suite's result, in ``SUITES`` order.
+
+    ``basic_inequality``, the longest suite, runs in this process.  The six
+    sampling suites run beside it in min(``SPECOPT_THREADS`` or the CPU
+    count, CPU count) - 1 worker processes forked for them, at most six; with
+    none, or where ``fork`` is unavailable, every suite runs here in order.
+    Each suite draws from its own stream, so the results do not depend on
+    where it ran.
+    """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     samples = 100 if level == "fast" else 10_000
-    results = []
-    for i, suite in enumerate(SUITES):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-        results.append(suite(samples, rng))
+    processes = min(default_threads(), os.cpu_count() or 1, len(SUITES)) - 1
+    # by name: a profiler may swap SUITES for wrappers that keep the names
+    here = [suite.__name__ for suite in SUITES].index("basic_inequality")
+    run = partial(_run_suite, samples, seed)
+    sampling = [i for i in range(len(SUITES)) if i != here]
+    results, last, _ = fork_map(run, sampling, processes, beside=partial(run, here))
+    results.insert(here, last)
     return results

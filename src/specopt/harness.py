@@ -246,6 +246,29 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def fork_map(fn, items, processes: int, beside=None):
+    """``[fn(item) for item in items]`` over ``processes`` forked workers, and ``beside()`` here.
+
+    Returns (the results in item order, ``beside()`` or None without it, the
+    number of worker processes used).  Every item is submitted before
+    ``beside`` runs in this process, so the two overlap.  With ``processes``
+    below 1, or where ``fork`` is unavailable, everything runs serially in
+    this process, the items in order and then ``beside``, and the count is 0.
+    In a pool ``fn``, the items and the results travel by pickle, so ``fn``
+    must be a module-level function or a partial of one.
+    """
+    context = _fork_context() if processes > 0 else None
+    if context is None:
+        done = [fn(item) for item in items]
+        return done, None if beside is None else beside(), 0
+    # fork starts each worker in milliseconds without re-importing numpy;
+    # the executor forks all of them before it starts its own thread.
+    with futures.ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
+        pending = pool.map(fn, items)
+        here = None if beside is None else beside()
+        return list(pending), here, processes
+
+
 def run_trials(cfg: ExperimentConfig, threads: int | None = None, on_trial=None):
     """Execute every configured method over all trials.
 
@@ -266,16 +289,8 @@ def run_trials(cfg: ExperimentConfig, threads: int | None = None, on_trial=None)
     """
     threads = default_threads() if threads is None else threads
     workers = min(threads, os.cpu_count() or 1, cfg.trials)
-    context = _fork_context() if workers > 1 else None
     task = partial(_run_trial, cfg, on_trial)
-    if context is not None:
-        # fork starts each worker in milliseconds without re-importing numpy;
-        # the executor forks all of them before it starts its own thread.
-        with futures.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            done = list(pool.map(task, range(cfg.trials)))
-    else:
-        workers = 1
-        done = [task(t) for t in range(cfg.trials)]
+    done, _, pooled = fork_map(task, range(cfg.trials), workers if workers > 1 else 0)
     records = {method: [per_trial[method] for per_trial, _ in done] for method in cfg.methods}
     hooked = [result for _, result in done] if on_trial is not None else []
-    return TrialStats(_aggregate(cfg, records), workers, hooked), records
+    return TrialStats(_aggregate(cfg, records), pooled or 1, hooked), records

@@ -254,22 +254,22 @@ class DiagonalLasso:
         return _l1_value((self._half_d * (r * r)).sum(), x, self.lambda1)
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+        x = _check_dim(x, self.dimension)
         return self._value_at(x, x - self.b)
 
     def smooth_gradient(self, x) -> np.ndarray:
-        return self.d * (np.asarray(x, dtype=float) - self.b)
+        return self.d * (_check_dim(x, self.dimension) - self.b)
 
     def one_sided(self, x, v) -> OneSidedPair:
         return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
+        x = _check_dim(x, self.dimension)
+        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual x - b, bit-identical to separate calls."""
-        x = np.asarray(x, dtype=float)
+        x = _check_dim(x, self.dimension)
         r = x - self.b
         return self._value_at(x, r), _l1_one_sided_basis(self.d * r, x, self.lambda1)
 

@@ -20,6 +20,13 @@ from .specular import HypothesisViolationError, specular_from_one_sided_array, s
 
 DEFAULT_ETA = 1e-12
 
+# schedule kind -> (exclusive upper bound of its parameter, message when it is out of (0, bound))
+_SCHEDULE_LIMITS = {
+    "normalized_diminishing": (math.inf, "c must be positive and finite"),
+    "geometric": (1.0, "ratio must lie in (0, 1)"),
+    "constant": (math.inf, "h must be positive and finite"),
+}
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -37,30 +44,32 @@ class StepSchedule:
     kind: str
     parameter: float
 
+    def __post_init__(self) -> None:
+        if self.kind not in _SCHEDULE_LIMITS:
+            raise ValueError(f"unknown step schedule {self.kind!r}; valid: {', '.join(_SCHEDULE_LIMITS)}")
+        upper, message = _SCHEDULE_LIMITS[self.kind]
+        if not 0.0 < self.parameter < upper:
+            raise ValueError(message)
+        object.__setattr__(self, "parameter", float(self.parameter))
+
     @classmethod
     def normalized_diminishing(cls, c: float) -> "StepSchedule":
-        if not 0.0 < c < math.inf:
-            raise ValueError("c must be positive and finite")
-        return cls("normalized_diminishing", float(c))
+        return cls("normalized_diminishing", c)
 
     @classmethod
     def geometric(cls, ratio: float) -> "StepSchedule":
-        if not 0.0 < ratio < 1.0:
-            raise ValueError("ratio must lie in (0, 1)")
-        return cls("geometric", float(ratio))
+        return cls("geometric", ratio)
 
     @classmethod
     def constant(cls, h: float) -> "StepSchedule":
-        if not 0.0 < h < math.inf:
-            raise ValueError("h must be positive and finite")
-        return cls("constant", float(h))
+        return cls("constant", h)
 
     def step_size(self, k: int, grad_norm: float) -> float:
         if self.kind == "normalized_diminishing":
             return self.parameter / ((k + 1) * grad_norm)
         if self.kind == "geometric":
             return self.parameter ** (k + 1) / grad_norm
-        return self.parameter
+        return self.parameter  # constant, the only other kind __post_init__ admits
 
 
 @dataclass

@@ -1,0 +1,103 @@
+"""Where ``checks.run_suites`` runs each suite, and that the place does not change a result.
+
+basic-inequality runs in the calling process; the six sampling suites run
+beside it in forked workers when there is more than one CPU to use.
+"""
+
+import concurrent.futures
+import multiprocessing
+import os
+
+import pytest
+
+from specopt import checks
+
+
+def _results(seed):
+    return [(r.name, bool(r.passed), r.detail) for r in checks.run_suites("fast", seed)]
+
+
+def _pid_suite(name):
+    """A light stand-in for a suite: a closure, as a profiler's wrappers are, reporting its pid."""
+    def suite(samples, rng):
+        return checks.SuiteResult(name, True, str(os.getpid()))
+    suite.__name__ = name
+    return suite
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_results_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    monkeypatch.setenv("SPECOPT_THREADS", "1")
+    serial = [_results(seed) for seed in range(16)]
+    monkeypatch.delenv("SPECOPT_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert [_results(seed) for seed in range(16)] == serial
+
+
+def test_basic_inequality_runs_its_speg_runs_here(monkeypatch):
+    pids = []
+    real_speg_run = checks.speg_run
+
+    def speg_run(*args, **kwargs):
+        pids.append(os.getpid())
+        return real_speg_run(*args, **kwargs)
+
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(checks, "speg_run", speg_run)
+    results = checks.run_suites("fast", 5)
+    assert all(r.passed for r in results)
+    assert pids == [os.getpid()] * 2  # max(2, 100 // 50) problems
+
+
+@pytest.mark.parametrize("threads,cpus,forked", [("1", 8, False), ("2", 2, True), ("8", 4, True)])
+def test_sampling_suites_run_in_workers(monkeypatch, threads, cpus, forked):
+    monkeypatch.setenv("SPECOPT_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(checks, "SUITES", tuple(_pid_suite(s.__name__) for s in checks.SUITES))
+    results = checks.run_suites("fast", 0)
+    assert [r.name for r in results] == [s.__name__ for s in checks.SUITES]
+    here = str(os.getpid())
+    *sampling, basic = [r.detail for r in results]
+    assert basic == here
+    assert all((pid != here) == forked for pid in sampling)
+
+
+class _RecordingPool:
+    """Stands in for the process pool; maps in this process and records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads,cpus,expected", [(1, 8, None), (2, 2, 1), (8, 4, 3), (8, 16, 6)])
+def test_pool_size(monkeypatch, threads, cpus, expected):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("SPECOPT_THREADS", str(threads))
+    assert all(r.passed for r in checks.run_suites("fast", 1))
+    assert _RecordingPool.sizes == ([] if expected is None else [(expected, "fork")])
+
+
+def test_serial_without_fork(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no pool may be built without fork")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SPECOPT_THREADS", "4")
+    monkeypatch.setattr(checks, "SUITES", tuple(_pid_suite(s.__name__) for s in checks.SUITES))
+    assert {r.detail for r in checks.run_suites("fast", 0)} == {str(os.getpid())}

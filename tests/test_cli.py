@@ -418,6 +418,14 @@ class TestInvalidInvocation:
         _assert_one_line(capsys.readouterr().err, "config error: SPECOPT_THREADS")
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_fails_check_before_any_suite(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("SPECOPT_THREADS", threads)
+        assert main(["check", "--level", "fast"]) == 1
+        captured = capsys.readouterr()
+        _assert_one_line(captured.err, "config error: SPECOPT_THREADS")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["run", "--config", "c.json", "--out", "o", "--seed", "abc"],
         ["run", "--config", "c.json"],

@@ -330,6 +330,15 @@ class TestDiagonalLasso:
             assert fstar <= lasso.value(xstar + 0.1 * rng.standard_normal(6)) + 1e-12
 
 
+    @pytest.mark.parametrize("point", [[1.0], np.ones(4), np.ones((3, 1))])
+    def test_point_of_wrong_dimension(self, point):
+        # a short point must not broadcast against b
+        lasso = DiagonalLasso(np.ones(3), [1.0, 2.0, 3.0], 1.0)
+        for oracle in (lasso.value, lasso.smooth_gradient, lasso.one_sided_basis,
+                       lasso.value_and_one_sided_basis):
+            with pytest.raises(ValueError, match="dimension 3"):
+                oracle(point)
+
 class TestCatalog1d:
     def test_abs_pair_at_kink(self):
         pair = objectives.test_function_1d("abs").one_sided([0.0], [1.0])

@@ -1,5 +1,7 @@
 """Optimizer tests: hand-simulated trajectories, schedules, records, and bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ class TestSchedules:
             with pytest.raises(ValueError):
                 gd_run(lasso, np.ones(2), bad, 5)
 
+
+    @pytest.mark.parametrize("kind,parameter,message", [
+        ("bogus", 0.5, "unknown step schedule 'bogus'"),
+        ("normalized_diminishing", math.inf, "c must be positive and finite"),
+        ("geometric", 1.0, "ratio must lie in"),
+        ("constant", math.nan, "h must be positive and finite"),
+    ])
+    def test_constructor_validates(self, kind, parameter, message):
+        # the dataclass constructor checks what the classmethods check
+        with pytest.raises(ValueError, match=message):
+            StepSchedule(kind, parameter)
 
 class TestSpegRuns:
     def test_abs_hand_simulation(self):

@@ -57,3 +57,21 @@ def test_bundle_span_counts_a_real_run(tmp_path, monkeypatch):
     metrics = tracer.metrics()
     assert metrics["optimizers.iters"] == csv_rows
     assert metrics["cli.bundle_bytes"] == span["bytes"]
+
+
+def test_serial_suites_are_spanned(monkeypatch):
+    # serial, so the sampling suites run in this process, under the tracer's wrappers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("SPECOPT_THREADS", "1")
+    import tracing
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        results = specopt.checks.run_suites("fast")
+    finally:
+        assert tracer.uninstall() == []
+    assert all(r.passed for r in results)
+    spans = [s["name"] for s in tracer.spans if s["name"].startswith("checks.")]
+    assert sorted(spans) == sorted(f"checks.{suite}" for suite in tracing.SUITES)
+    assert len(tracing.SUITES) == len(specopt.checks.SUITES) == 7
