@@ -127,7 +127,7 @@ def quasi_mvt(samples: int, rng: np.random.Generator) -> SuiteResult:
                 bb = a + 1e-2
             ts = np.linspace(a, bb, grid_points + 2)[1:-1]
             right, left = obj.lateral_slopes(ts)
-            ds = specular.specular_from_one_sided_array(right, left, 1.0)
+            ds = specular.specular_from_one_sided_array(right, left)
             secant = obj.value([bb]) - obj.value([a])
             slack = 1e-3 * (bb - a)
             lo = ds.min() * (bb - a)

@@ -1,9 +1,10 @@
-"""Objective catalog with analytic one-sided directional-derivative oracles.
+"""Objective catalog with analytic one-sided partials.
 
-Every member exposes ``value(x)``, ``one_sided(x, v) -> OneSidedPair``, the
-per-coordinate partials ``one_sided_basis(x)`` and a ``dimension``; the
-elastic net and the diagonal lasso also ``value_and_one_sided_basis(x)``,
-which the optimizers use to get value and partials from one residual.
+The ``Objective`` protocol is ``dimension``, ``value(x)`` and the partials
+``one_sided_basis(x)``, all that the specular gradient and the optimizers ask
+of an objective; ``specular_directional`` also needs ``one_sided(x, v)``.
+The elastic net and the diagonal lasso also offer
+``value_and_one_sided_basis(x)``, value and partials from one residual.
 
 The partials come back as a pair (plus, minus).  Where no coordinate sits at
 a kink the two are one array, ``plus is minus``, so the assembly can skip
@@ -13,9 +14,7 @@ Each objective is a smooth part plus a sum of one-variable terms, so its
 one-sided rule is written once, as the partials plus_i = f'(x; e_i) and
 minus_i = -f'(x; -e_i).  For lambda1 |x_i| and smooth gradient g they are
 g_i + lambda1 sign(x_i) if x_i != 0, else g_i + lambda1 and g_i - lambda1
-(x_i = 0 is dispatched on exact floating equality).  The pair along v follows:
-coordinate i adds plus_i v_i to f'(x; v) when v_i > 0 and minus_i v_i when
-v_i < 0, and -f'(x; -v) swaps the two.  No convexity is assumed.
+(x_i = 0 is dispatched on exact floating equality).  No convexity is assumed.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from .specular import OneSidedPair
 
 @runtime_checkable
 class Objective(Protocol):
-    """Function with an analytic one-sided directional-derivative oracle."""
+    """Function with analytic one-sided partials (f'(x; e_i), -f'(x; -e_i)) per coordinate."""
 
     dimension: int
 
     def value(self, x) -> float: ...
 
-    def one_sided(self, x, v) -> OneSidedPair: ...
+    def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 # The objectives below share one shape, smooth part + lambda1 ||x||_1; these
@@ -67,18 +66,24 @@ def _check_dim(x, n: int) -> np.ndarray:
     return x
 
 
-def _one_sided_from_basis(basis: tuple[np.ndarray, np.ndarray], v) -> OneSidedPair:
-    """(f'(x; v), -f'(x; -v)) from the partials (plus, minus) = one_sided_basis(x).
+class _Separable:
+    """Base of the catalog objectives: ``one_sided(x, v)`` derived from ``one_sided_basis(x)``.
 
-    Coordinates with v_i = 0 do not enter, even where a partial is infinite.
+    Coordinate i adds plus_i v_i to f'(x; v) when v_i > 0 and minus_i v_i
+    when v_i < 0 (nothing when v_i = 0, even at an infinite partial), and
+    -f'(x; -v) swaps the two.  That is valid only because each kink term
+    depends on one coordinate.  For a non-separable f such as max(x1, x2) the
+    pair would be wrong, so a user objective writes its own ``one_sided``.
     """
-    plus, minus = basis
-    v = _check_dim(v, plus.shape[0])
-    ahead = v > 0.0
-    back = ~ahead & (v != 0.0)  # NaN entries land here, so OneSidedPair rejects the pair
-    va, vb = v[ahead], v[back]
-    return OneSidedPair(float(plus[ahead] @ va + minus[back] @ vb),
-                        float(minus[ahead] @ va + plus[back] @ vb))
+
+    def one_sided(self, x, v) -> OneSidedPair:
+        plus, minus = self.one_sided_basis(x)
+        v = _check_dim(v, plus.shape[0])
+        ahead = v > 0.0
+        back = ~ahead & (v != 0.0)  # NaN entries land here, so OneSidedPair rejects the pair
+        va, vb = v[ahead], v[back]
+        return OneSidedPair(float(plus[ahead] @ va + minus[back] @ vb),
+                            float(minus[ahead] @ va + plus[back] @ vb))
 
 
 def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) -> np.ndarray:
@@ -87,7 +92,7 @@ def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) ->
 
 
 @dataclass(frozen=True)
-class ElasticNetProblem:
+class ElasticNetProblem(_Separable):
     """Least squares with ridge and lasso penalties.
 
     value(x) = ||A x - b||^2 / (2 m) + (lambda2 / 2) ||x||^2 + lambda1 ||x||_1
@@ -139,9 +144,6 @@ class ElasticNetProblem:
         x = _check_dim(x, self.n)
         return self._smooth_gradient_at(x, self.A @ x - self.b)
 
-    def one_sided(self, x, v) -> OneSidedPair:
-        return _one_sided_from_basis(self.one_sided_basis(x), v)
-
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
@@ -179,7 +181,7 @@ class ElasticNetProblem:
 
 
 @dataclass(frozen=True)
-class ElasticNetComponent:
+class ElasticNetComponent(_Separable):
     """One squared residual plus the shared elastic-net regularizers."""
 
     a: np.ndarray
@@ -198,9 +200,6 @@ class ElasticNetComponent:
 
     def smooth_gradient(self, x) -> np.ndarray:
         return _sample_gradient(self.a, self.bj, self.lambda2, _check_dim(x, self.dimension))
-
-    def one_sided(self, x, v) -> OneSidedPair:
-        return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
@@ -221,13 +220,13 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("curvatures d must be strictly positive")
-    if lambda1 < 0.0:
+    if not lambda1 >= 0.0:
         raise ValueError("lambda1 must be nonnegative")
     return np.sign(b) * np.maximum(np.abs(b) - lambda1 / d, 0.0)
 
 
 @dataclass(frozen=True)
-class DiagonalLasso:
+class DiagonalLasso(_Separable):
     """Separable strongly convex test problem with a known minimizer."""
 
     d: np.ndarray
@@ -241,6 +240,8 @@ class DiagonalLasso:
             raise ValueError("d and b must be vectors of equal length")
         if np.any(d <= 0.0):
             raise ValueError("curvatures d must be strictly positive")
+        if not self.lambda1 >= 0.0:
+            raise ValueError("lambda1 must be nonnegative")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
@@ -259,9 +260,6 @@ class DiagonalLasso:
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (_check_dim(x, self.dimension) - self.b)
-
-    def one_sided(self, x, v) -> OneSidedPair:
-        return _one_sided_from_basis(self.one_sided_basis(x), v)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
@@ -285,7 +283,7 @@ def _scalar(x) -> float:
 
 
 @dataclass(frozen=True)
-class PiecewiseScalar:
+class PiecewiseScalar(_Separable):
     """One-dimensional objective defined by a value function and its lateral slopes.
 
     ``left_slope(t)``/``right_slope(t)`` are the one-sided classical slopes
@@ -300,9 +298,6 @@ class PiecewiseScalar:
 
     def value(self, x) -> float:
         return float(self.fn(_scalar(x)))
-
-    def one_sided(self, x, v) -> OneSidedPair:
-        return _one_sided_from_basis(self.one_sided_basis(x), [_scalar(v)])
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         t = _scalar(x)

@@ -30,8 +30,9 @@ import numpy as np
 INFINITY_THRESHOLD = 1e12
 """Magnitude at which a one-sided slope is treated as infinite."""
 
-# past this magnitude alpha*beta overflows double precision
+# past this magnitude alpha*beta can overflow double precision
 _HUGE = 1e150
+_SCALE = 2.0 ** -600  # brings huge slopes into bfun's range; a power of two scales exactly
 
 
 def ensure_extended(x: float, name: str = "value") -> float:
@@ -80,7 +81,7 @@ def afun(alpha: float, beta: float) -> float:
     if s == 0.0:
         return 0.0
     if -alpha > _HUGE or beta > _HUGE:
-        out = afun_tan_form(alpha, beta)
+        out = bfun(alpha * _SCALE, beta * _SCALE, _SCALE)
     else:
         e = alpha * beta - 1.0
         r = float(np.hypot(e, s))  # same rounding as the vectorized path
@@ -126,20 +127,25 @@ def bfun(a: float, b: float, c: float) -> float:
 
 
 def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized afun for finite slope arrays.
+    """Vectorized afun for finite slope arrays, bit-identical to afun entry by entry.
 
     Same branch structure as the scalar form, including the clamp of
-    round-off to [min, max] of the arguments.
+    round-off to [min, max] of the arguments.  Entries with a slope past
+    1e150, where alpha*beta can overflow, are handed to afun itself.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise ValueError("slopes must be finite")
-    s = alpha + beta
-    e = alpha * beta - 1.0
-    r = np.hypot(e, s)
-    grow = e >= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = alpha + beta
+        e = alpha * beta - 1.0
+        r = np.hypot(e, s)
+        grow = e >= 0.0
         out = np.where(grow, (e + r) / np.where(s == 0.0, 1.0, s), s / (r - e))
-    out = np.where(alpha == beta, alpha, out)
-    return np.clip(out, np.minimum(alpha, beta), np.maximum(alpha, beta))
+    lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)
+    out = np.clip(np.where(alpha == beta, alpha, out), lo, hi, out=out)
+    huge = (lo < -_HUGE) | (hi > _HUGE)
+    if huge.any():
+        out[huge] = [afun(a, b) for a, b in zip(alpha[huge].tolist(), beta[huge].tolist())]
+    return out

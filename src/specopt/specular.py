@@ -53,39 +53,37 @@ def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
     return vnorm * afun(plus / vnorm, minus / vnorm)
 
 
-def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray, vnorm: float = 1.0) -> np.ndarray:
-    """Vectorized assembly for arrays of one-sided values along directions of norm vnorm.
+def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Vectorized assembly for arrays of one-sided values along unit directions.
 
     Where the two one-sided values agree the derivative is the classical one,
-    vnorm * (plus / vnorm); afun_array runs on the kink entries only.  When
-    both arguments are one array of at most one dimension (no kink anywhere)
-    and vnorm is 1, that array itself is returned, the same bits without a
-    copy.  That shortcut screens magnitudes by the squared norm, which is at
-    least INFINITY_THRESHOLD ** 2 whenever one entry is at or past the
-    threshold (and NaN when one is NaN), so it never admits an entry the
-    general path would promote or reject; what it turns away takes the
-    general path.
+    plus itself; afun_array runs on the kink entries only.  When both
+    arguments are one array of at most one dimension (no kink anywhere), that
+    array itself is returned, the same bits without a copy.  That shortcut
+    screens magnitudes by the squared norm, which is at least
+    INFINITY_THRESHOLD ** 2 whenever one entry is at or past the threshold
+    (and NaN when one is NaN), so it never admits an entry the general path
+    would promote or reject; what it turns away takes the general path.
     """
     plus = np.asarray(plus, dtype=float)
-    if plus is minus and vnorm == 1.0 and plus.ndim <= 1 and plus.dot(plus) < _SQUARED_THRESHOLD:
+    if plus is minus and plus.ndim <= 1 and plus.dot(plus) < _SQUARED_THRESHOLD:
         return plus
     minus = np.asarray(minus, dtype=float)
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:
-        alpha = np.divide(plus, vnorm, out=np.empty(plus.shape))  # writable even when 0-d
-        beta = minus / vnorm
-        kink = alpha != beta
+        out = np.array(plus)  # a writable copy, even when 0-d
+        kink = out != minus
         if kink.any():
-            alpha[kink] = afun_array(alpha[kink], beta[kink])
-        return vnorm * alpha
+            out[kink] = afun_array(out[kink], minus[kink])
+        return out
     out = np.empty(plus.shape, dtype=float)
     flat_p, flat_m, flat_o = plus.ravel(), minus.ravel(), out.ravel()
     for i in range(flat_p.size):
-        flat_o[i] = specular_from_one_sided(OneSidedPair(flat_p[i], flat_m[i]), vnorm)
+        flat_o[i] = specular_from_one_sided(OneSidedPair(flat_p[i], flat_m[i]), 1.0)
     return out
 
 
 def specular_directional(obj, x, v) -> float:
-    """Specular derivative of an objective at x along v (zero for v = 0)."""
+    """Specular derivative at x along v (zero for v = 0); obj must also offer ``one_sided(x, v)``."""
     v = np.asarray(v, dtype=float)
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
@@ -94,26 +92,9 @@ def specular_directional(obj, x, v) -> float:
 
 
 def specular_gradient(obj, x) -> np.ndarray:
-    """Vector of specular partial derivatives along the standard basis.
-
-    Uses the objective's vectorized ``one_sided_basis`` hook when present,
-    otherwise queries ``one_sided`` coordinate by coordinate.
-    """
-    x = np.asarray(x, dtype=float)
-    basis = getattr(obj, "one_sided_basis", None)
-    if basis is not None:
-        plus, minus = basis(x)
-        return specular_from_one_sided_array(plus, minus, 1.0)
-    n = obj.dimension
-    grad = np.empty(n, dtype=float)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        try:
-            grad[i] = specular_from_one_sided(obj.one_sided(x, e), 1.0)
-        except HypothesisViolationError as err:
-            raise HypothesisViolationError(f"coordinate {i}: {err}") from err
-    return grad
+    """Vector of specular partial derivatives, assembled from ``obj.one_sided_basis(x)``."""
+    plus, minus = obj.one_sided_basis(np.asarray(x, dtype=float))
+    return specular_from_one_sided_array(plus, minus)
 
 
 def specular_jacobian(components, x) -> np.ndarray:

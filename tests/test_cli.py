@@ -654,7 +654,7 @@ class TestCheckCommand:
         (checks.estimator_consistency, checks, "fd_specular_directional",
          lambda f: lambda *a: replace(f(*a), value=f(*a).value + 1e-4)),
         (checks.quasi_mvt, specopt.specular, "specular_from_one_sided_array",
-         lambda f: lambda right, left, vnorm: np.zeros_like(f(right, left, vnorm))),
+         lambda f: lambda right, left: np.zeros_like(f(right, left))),
     ], ids=["scalar", "subgradient", "ordering", "estimator", "quasi-mvt"])
     def test_corruption_fails_the_gate_suites(self, monkeypatch, suite, owner, attr, corrupt):
         # mutation check for the suites behind acceptance criteria 1-4 and 10

@@ -321,6 +321,13 @@ class TestDiagonalLasso:
         with pytest.raises(ValueError):
             diagonal_lasso_minimizer([0.0], [1.0], 1.0)
 
+    @pytest.mark.parametrize("lambda1", [-1.0, math.nan])
+    def test_invalid_lambda1(self, lambda1):
+        with pytest.raises(ValueError, match="lambda1"):
+            DiagonalLasso(np.ones(2), [1.0, -2.0], lambda1)
+        with pytest.raises(ValueError, match="lambda1"):
+            diagonal_lasso_minimizer(np.ones(2), [1.0, -2.0], lambda1)
+
     def test_minimizer_beats_perturbations(self):
         rng = np.random.default_rng(9)
         lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 6), rng.uniform(-3.0, 3.0, 6), 1.0)

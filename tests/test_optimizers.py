@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specopt import objectives, optimizers, specular
-from specopt.objectives import DiagonalLasso, ElasticNetProblem
+from specopt.objectives import DiagonalLasso, ElasticNetProblem, Objective
 from specopt.optimizers import (
     Box,
     EuclideanBall,
@@ -19,7 +19,8 @@ from specopt.optimizers import (
     speg_run,
     sspeg_run,
 )
-from specopt.specular import specular_gradient
+from specopt.scalar import afun
+from specopt.specular import specular_gradient, specular_jacobian
 
 
 def half_square_1d():
@@ -162,9 +163,8 @@ class TestGdAdam:
             def value(self, x):
                 return float(x[0])
 
-            def one_sided(self, x, v):
-                from specopt.specular import OneSidedPair
-                return OneSidedPair(float(v[0]), float(v[0]))
+            def one_sided_basis(self, x):
+                return np.ones(1), np.ones(1)
 
         rec = adam_run(Linear1d(), [0.0], 0.01, 1)
         step = 0.0 - rec.f_current[-1]  # value is the coordinate itself
@@ -178,9 +178,8 @@ class TestGdAdam:
             def value(self, x):
                 return 1.0
 
-            def one_sided(self, x, v):
-                from specopt.specular import OneSidedPair
-                return OneSidedPair(0.0, 0.0)
+            def one_sided_basis(self, x):
+                return np.zeros(1), np.zeros(1)
 
         rec = adam_run(Flat(), [3.0], 0.01, 50)
         assert rec.status == "stationary"
@@ -259,6 +258,19 @@ def reference_run(problem, x0, max_iters, eta, gradient, step):
     return f_current, f_best, grad_norm
 
 
+def adam_step(n, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """reference_run's step for Adam with bias correction, keeping its own moments."""
+    state = {"m": np.zeros(n), "v": np.zeros(n)}
+
+    def step(k, g, gnorm):
+        state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+        state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+        m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
+        v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
+        return lr * (m_hat / (np.sqrt(v_hat) + eps))
+    return step
+
+
 def _lasso_start(lambda1):
     rng = rng_for(25)
     lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 9), rng.uniform(-3.0, 3.0, 9), lambda1)
@@ -331,19 +343,74 @@ class TestFusedLoopIdentity:
             self._assert_same(gd_run(p, x0, 0.01, self.MAX_ITERS), ref)
 
     def test_adam(self):
-        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         for p, x0 in self._problems():
-            state = {"m": np.zeros_like(x0), "v": np.zeros_like(x0)}
+            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
+                                adam_step(x0.size, 0.01))
+            self._assert_same(adam_run(p, x0, 0.01, self.MAX_ITERS), ref)
 
-            def step(k, g, gnorm):
-                state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-                state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-                m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
-                v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
-                return lr * (m_hat / (np.sqrt(v_hat) + eps))
 
-            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x), step)
-            self._assert_same(adam_run(p, x0, lr, self.MAX_ITERS), ref)
+class MaxPair:
+    """f(x) = max(x1, x2) + ||x||^2 / 2: not separable, and it offers only the Objective protocol."""
+
+    dimension = 2
+
+    def value(self, x):
+        return float(max(x[0], x[1]) + 0.5 * (x @ x))
+
+    def one_sided_basis(self, x):
+        # the max term adds 1 to both partials of the larger coordinate; at a tie
+        # f'(x; e_i) = 1 and -f'(x; -e_i) = 0 for both
+        plus = np.array([x[0] >= x[1], x[1] >= x[0]], dtype=float) + x
+        minus = np.array([x[0] > x[1], x[1] > x[0]], dtype=float) + x
+        return plus, minus
+
+
+def bisecting_gradient(obj, x):
+    """The specular gradient written out: the partial where both sides agree, afun of the pair at a kink."""
+    plus, minus = obj.one_sided_basis(x)
+    return np.array([p if p == m else afun(p, m) for p, m in zip(plus.tolist(), minus.tolist())])
+
+
+class TestUserObjective:
+    """A user objective needs dimension, value and one_sided_basis, and nothing else."""
+
+    STARTS = ([1.0, 1.0], [1.0, -0.5])  # on the tie, where every step keeps it, and off it
+
+    def test_protocol(self):
+        p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.5, 0.5)
+        for obj in (MaxPair(), p, p.component(0), DiagonalLasso(np.ones(2), [1.0, -2.0], 0.5),
+                    objectives.test_function_1d("abs")):
+            assert isinstance(obj, Objective)
+
+        class DirectionalOnly:
+            dimension = 2
+
+            def value(self, x):
+                return 0.0
+
+            def one_sided(self, x, v):
+                return specular.OneSidedPair(0.0, 0.0)
+
+        assert not isinstance(DirectionalOnly(), Objective)
+
+    def test_gradient_and_jacobian(self):
+        obj = MaxPair()
+        for x in map(np.array, self.STARTS):
+            ref = bisecting_gradient(obj, x)
+            assert specular_gradient(obj, x).tobytes() == ref.tobytes()
+            assert specular_jacobian([obj, obj], x).tobytes() == np.vstack([ref, ref]).tobytes()
+        assert specular_gradient(obj, [1.0, 1.0])[0] == pytest.approx(afun(2.0, 1.0), rel=1e-15)
+
+    def test_speg_and_adam(self):
+        obj, sched = MaxPair(), StepSchedule.normalized_diminishing(1.0)
+        for x0 in self.STARTS:
+            ref = reference_run(obj, x0, 40, 1e-12, lambda k, x: bisecting_gradient(obj, x),
+                                lambda k, g, gnorm: sched.step_size(k, gnorm) * g)
+            rec = speg_run(obj, x0, sched, 40)
+            assert (list(rec.f_current), list(rec.f_best), list(rec.grad_norm)) == ref
+            ref = reference_run(obj, x0, 40, 0.0, lambda k, x: bisecting_gradient(obj, x), adam_step(2, 0.01))
+            rec = adam_run(obj, x0, 0.01, 40)
+            assert (list(rec.f_current), list(rec.f_best), list(rec.grad_norm)) == ref
 
 
 class TestSmoothFastPath:

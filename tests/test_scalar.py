@@ -38,6 +38,13 @@ class TestAfunExamples:
         assert afun(3.0, INF) == pytest.approx(3.0 + math.sqrt(10.0), abs=1e-12)
         assert afun(INF, 3.0) == afun(3.0, INF)
 
+    def test_huge_slopes(self):
+        # past 1e150 alpha*beta can overflow; closed forms to a few ulps
+        ulps = 4 * 2.0 ** -52
+        assert afun(1e200, 2e200) == pytest.approx(4e200 / 3.0, rel=ulps, abs=0.0)
+        assert afun(1e14, 1e300) == pytest.approx(2e14, rel=ulps, abs=0.0)
+        assert afun(-1e200, 2e200) == pytest.approx(2.5e-201, rel=ulps, abs=0.0)
+
     def test_one_infinite_argument_without_cancellation(self):
         # alpha + sqrt(1 + alpha^2) for alpha << 0 equals 1 / (sqrt(1 + alpha^2) - alpha)
         for alpha in (-1e3, -1e8, -1e200):
@@ -134,11 +141,12 @@ def test_bfun_scaling(a, b, c):
 
 def test_array_kernel_matches_scalar_bitwise():
     rng = np.random.default_rng(7)
-    alpha = np.where(rng.random(5000) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6, 6, 5000)
-    beta = np.where(rng.random(5000) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6, 6, 5000)
-    vec = afun_array(alpha, beta)
-    scal = np.array([afun(a, b) for a, b in zip(alpha, beta)])
-    assert np.array_equal(vec, scal)
+    for top in (6, 300):  # magnitudes up to 1e300 take afun's huge-slope path
+        alpha = np.where(rng.random(5000) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6, top, 5000)
+        beta = np.where(rng.random(5000) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-6, top, 5000)
+        vec = afun_array(alpha, beta)
+        scal = np.array([afun(a, b) for a, b in zip(alpha, beta)])
+        assert np.array_equal(vec, scal)
 
 
 def test_array_kernel_rejects_nan():
