@@ -10,16 +10,15 @@ suites with the gate's own sample counts and streams.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import specular
-from .harness import default_threads, fork_map
+from .harness import fork_map
 from .objectives import DiagonalLasso, ElasticNetProblem, catalog_1d_names, test_function_1d
-from .optimizers import StepSchedule, basic_inequality_bound, speg_run
+from .optimizers import RunRecord, StepSchedule, basic_inequality_bound, speg_run
 from .scalar import afun, afun_tan_form, bfun
 from .specular import fd_specular_directional, specular_from_one_sided, specular_gradient
 
@@ -152,6 +151,19 @@ def estimator_consistency(samples: int, rng: np.random.Generator) -> SuiteResult
     return SuiteResult("estimator-consistency", passed, f"worst |fd - analytic| {worst:.3e}")
 
 
+def basic_inequality_excess(obj, x0, xstar, record: RunRecord) -> float:
+    """Largest excess of a finished run's best-iterate gap over ``basic_inequality_bound``.
+
+    The run started at x0 and xstar minimizes obj.  Entry k of the bound
+    comes from the (h_l, ||g_l||) pairs the run applied up to step k; the gap
+    is f_best_k - f(xstar).  A positive result means the bound failed there.
+    """
+    trace = np.column_stack((record.h_trace, record.grad_norm[: record.h_trace.size]))
+    bounds = basic_inequality_bound(x0, xstar, trace)
+    gaps = record.f_best[: bounds.size] - obj.value(xstar)
+    return float((gaps - bounds).max())
+
+
 def basic_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
     n_problems = max(2, samples // 50)
     iters = 2000
@@ -161,12 +173,7 @@ def basic_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
         lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 1.0)
         x0 = rng.standard_normal(n)
         record = speg_run(lasso, x0, StepSchedule.normalized_diminishing(4.0), iters)
-        xstar = lasso.minimizer()
-        fstar = lasso.value(xstar)
-        trace = np.column_stack((record.h_trace, record.grad_norm[: record.h_trace.size]))
-        bounds = basic_inequality_bound(x0, xstar, trace)
-        gaps = record.f_best[: bounds.size] - fstar
-        worst = max(worst, float((gaps - bounds).max()))
+        worst = max(worst, basic_inequality_excess(lasso, x0, lasso.minimizer(), record))
     passed = worst <= 1e-9
     return SuiteResult("basic-inequality", passed, f"worst bound violation {worst:.3e}")
 
@@ -195,21 +202,18 @@ def _run_suite(samples: int, seed: int, i: int) -> SuiteResult:
 def run_suites(level: str, seed: int = 20_260_810) -> list[SuiteResult]:
     """Every suite's result, in ``SUITES`` order.
 
-    ``basic_inequality``, the longest suite, runs in this process.  The six
-    sampling suites run beside it in min(``SPECOPT_THREADS`` or the CPU
-    count, CPU count) - 1 worker processes forked for them, at most six; with
-    none, or where ``fork`` is unavailable, every suite runs here in order.
+    ``basic_inequality``, the longest suite, runs in this process, and the
+    six sampling suites beside it through ``fork_map``, which sizes the pool.
     Each suite draws from its own stream, so the results do not depend on
     where it ran.
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     samples = 100 if level == "fast" else 10_000
-    processes = min(default_threads(), os.cpu_count() or 1, len(SUITES)) - 1
     # by name: a profiler may swap SUITES for wrappers that keep the names
     here = [suite.__name__ for suite in SUITES].index("basic_inequality")
     run = partial(_run_suite, samples, seed)
     sampling = [i for i in range(len(SUITES)) if i != here]
-    results, last, _ = fork_map(run, sampling, processes, beside=partial(run, here))
+    results, last, _ = fork_map(run, sampling, beside=partial(run, here))
     results.insert(here, last)
     return results

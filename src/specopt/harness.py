@@ -246,40 +246,44 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def fork_map(fn, items, processes: int, beside=None):
-    """``[fn(item) for item in items]`` over ``processes`` forked workers, and ``beside()`` here.
+def fork_map(fn, items, beside=None):
+    """``[fn(item) for item in items]`` in forked worker processes, and ``beside()`` here.
 
     Returns (the results in item order, ``beside()`` or None without it, the
-    number of worker processes used).  Every item is submitted before
-    ``beside`` runs in this process, so the two overlap.  With ``processes``
-    below 1, or where ``fork`` is unavailable, everything runs serially in
-    this process, the items in order and then ``beside``, and the count is 0.
-    In a pool ``fn``, the items and the results travel by pickle, so ``fn``
-    must be a module-level function or a partial of one.
+    number of processes that ran the work).  The tasks are the items, a
+    sequence, plus ``beside``.  At most min(``SPECOPT_THREADS`` or the CPU
+    count, CPU count, tasks) processes run at once, this one counting as one
+    when it runs ``beside``.  Every item is submitted before ``beside`` runs
+    here, so the two overlap.  When that number is 1, or where ``fork`` is
+    unavailable, everything runs serially in this process, the items in order
+    and then ``beside``, and the count is 1.  In a pool ``fn``, the items and
+    the results travel by pickle, so ``fn`` must be a module-level function or
+    a partial of one.
     """
-    context = _fork_context() if processes > 0 else None
+    caller = 0 if beside is None else 1  # this process, when it runs beside
+    processes = min(default_threads(), os.cpu_count() or 1, len(items) + caller)
+    context = _fork_context() if processes > 1 else None
     if context is None:
         done = [fn(item) for item in items]
-        return done, None if beside is None else beside(), 0
+        return done, None if beside is None else beside(), 1
     # fork starts each worker in milliseconds without re-importing numpy;
     # the executor forks all of them before it starts its own thread.
-    with futures.ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
+    with futures.ProcessPoolExecutor(max_workers=processes - caller, mp_context=context) as pool:
         pending = pool.map(fn, items)
-        here = None if beside is None else beside()
+        here = None if beside is None else beside()  # before waiting on the workers' results
         return list(pending), here, processes
 
 
-def run_trials(cfg: ExperimentConfig, threads: int | None = None, on_trial=None):
+def run_trials(cfg: ExperimentConfig, on_trial=None):
     """Execute every configured method over all trials.
 
     Returns (TrialStats, records) where records maps method name to the list
     of RunRecords in trial order.  Failed cells (numerical_failure) stay in
     the records but are excluded from the aggregates.
 
-    Trials run in min(threads, CPU count, trials) worker processes started
-    with ``fork``; ``threads`` defaults to ``SPECOPT_THREADS``, else the CPU
-    count.  With one worker, or where ``fork`` is unavailable, they run
-    serially in this process.  The records are the same bits either way.
+    Trials run through ``fork_map``, which sizes the pool from
+    ``SPECOPT_THREADS``, the CPU count and the number of trials.  The records
+    are the same bits wherever they ran.
 
     ``on_trial(trial, {method: RunRecord})``, when given, is called on each
     trial's records in the process that ran the trial, right after it ran;
@@ -287,10 +291,8 @@ def run_trials(cfg: ExperimentConfig, threads: int | None = None, on_trial=None)
     pool the hook and its results travel by pickle, so the hook must be a
     module-level function.
     """
-    threads = default_threads() if threads is None else threads
-    workers = min(threads, os.cpu_count() or 1, cfg.trials)
     task = partial(_run_trial, cfg, on_trial)
-    done, _, pooled = fork_map(task, range(cfg.trials), workers if workers > 1 else 0)
+    done, _, processes = fork_map(task, range(cfg.trials))
     records = {method: [per_trial[method] for per_trial, _ in done] for method in cfg.methods}
     hooked = [result for _, result in done] if on_trial is not None else []
-    return TrialStats(_aggregate(cfg, records), pooled or 1, hooked), records
+    return TrialStats(_aggregate(cfg, records), processes, hooked), records

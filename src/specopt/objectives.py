@@ -29,7 +29,14 @@ from .specular import OneSidedPair
 
 @runtime_checkable
 class Objective(Protocol):
-    """Function with analytic one-sided partials (f'(x; e_i), -f'(x; -e_i)) per coordinate."""
+    """Function with analytic one-sided partials (f'(x; e_i), -f'(x; -e_i)) per coordinate.
+
+    Any ``Objective`` drives ``specular_gradient`` and the optimizers.  The
+    gradient is a subgradient, and ``basic_inequality_bound`` audits a run,
+    only where specopt checks it: convex functions whose kink terms each
+    depend on one coordinate, as in the catalog.  For a non-separable convex
+    f such as max(x1, x2) the subgradient inequality can fail.
+    """
 
     dimension: int
 
@@ -147,7 +154,7 @@ class ElasticNetProblem(_Separable):
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
-        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
+        return _l1_one_sided_basis(self._smooth_gradient_at(x, self.A @ x - self.b), x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual A x - b.
@@ -203,7 +210,7 @@ class ElasticNetComponent(_Separable):
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(self.smooth_gradient(x), x, self.lambda1)
+        return _l1_one_sided_basis(_sample_gradient(self.a, self.bj, self.lambda2, x), x, self.lambda1)
 
 
 def sum_abs(n: int) -> ElasticNetProblem:
@@ -275,13 +282,6 @@ class DiagonalLasso(_Separable):
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)
 
 
-def _scalar(x) -> float:
-    a = np.asarray(x, dtype=float).reshape(-1)
-    if a.size != 1:
-        raise ValueError("expected a one-dimensional point")
-    return float(a[0])
-
-
 @dataclass(frozen=True)
 class PiecewiseScalar(_Separable):
     """One-dimensional objective defined by a value function and its lateral slopes.
@@ -297,10 +297,10 @@ class PiecewiseScalar(_Separable):
     dimension: int = field(default=1, init=False)
 
     def value(self, x) -> float:
-        return float(self.fn(_scalar(x)))
+        return float(self.fn(float(_check_dim(x, 1)[0])))
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        t = _scalar(x)
+        t = float(_check_dim(x, 1)[0])
         return (np.array([float(self.right_slope(t))]), np.array([float(self.left_slope(t))]))
 
     def lateral_slopes(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -98,6 +98,9 @@ class RunRecord:
         return float(self.f_best[-1])
 
 
+# A diverging run overflows to inf or NaN, which the loop reports as a failed
+# run; numpy need not warn about it as well.  Set once per run, not per step.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> RunRecord:
     """Shared iteration engine.  evaluate(k, x) -> (f(x), step_vector, grad_norm).
 
@@ -326,7 +329,11 @@ def basic_inequality_bound(x0, xstar, schedule_trace) -> np.ndarray:
 
     Entry k is (||x0 - xstar||^2 + sum_{l<=k} h_l^2 ||g_l||^2) / (2 sum_{l<=k} h_l),
     valid against f(best iterate among x_0..x_k) - f(xstar) when xstar is a
-    minimizer.  schedule_trace holds the (h_k, grad_norm_k) pairs: a (k, 2)
+    minimizer and each g_l is a subgradient.  specopt checks the latter for
+    convex functions whose kink terms each depend on one coordinate, as in
+    the catalog objectives; for a non-separable kink such as max(x1, x2) the
+    specular gradient need not be a subgradient, and the bound does not
+    apply.  schedule_trace holds the (h_k, grad_norm_k) pairs: a (k, 2)
     array, or any iterable of pairs.
     """
     if not isinstance(schedule_trace, np.ndarray):

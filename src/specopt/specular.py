@@ -94,7 +94,9 @@ def specular_directional(obj, x, v) -> float:
 def specular_gradient(obj, x) -> np.ndarray:
     """Vector of specular partial derivatives, assembled from ``obj.one_sided_basis(x)``."""
     plus, minus = obj.one_sided_basis(np.asarray(x, dtype=float))
-    return specular_from_one_sided_array(plus, minus)
+    # the smooth-point screen may overflow on huge partials; the general path takes those
+    with np.errstate(over="ignore"):
+        return specular_from_one_sided_array(plus, minus)
 
 
 def specular_jacobian(components, x) -> np.ndarray:

@@ -63,32 +63,12 @@ def test_sampling_suites_run_in_workers(monkeypatch, threads, cpus, forked):
     assert all((pid != here) == forked for pid in sampling)
 
 
-class _RecordingPool:
-    """Stands in for the process pool; maps in this process and records its size."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers, mp_context):
-        self.sizes.append((max_workers, mp_context.get_start_method()))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("threads,cpus,expected", [(1, 8, None), (2, 2, 1), (8, 4, 3), (8, 16, 6)])
-def test_pool_size(monkeypatch, threads, cpus, expected):
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+def test_pool_size(monkeypatch, recording_pool, threads, cpus, expected):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("SPECOPT_THREADS", str(threads))
     assert all(r.passed for r in checks.run_suites("fast", 1))
-    assert _RecordingPool.sizes == ([] if expected is None else [(expected, "fork")])
+    assert recording_pool == ([] if expected is None else [(expected, "fork")])
 
 
 def test_serial_without_fork(monkeypatch):

@@ -168,6 +168,28 @@ class TestRunCommand:
             assert np.array_equal(got_g, rec.grad_norm)
 
 
+class TestHugeFiniteInputs:
+    """Finite but huge lambdas or step lengths: the runs fail numerically and nothing warns.
+
+    pytest turns a RuntimeWarning into an error, so numpy overflowing on the
+    way to a failed cell would fail the test.
+    """
+
+    @pytest.mark.parametrize("patch", [
+        {"lambda1": 7.741001517595158e+153}, {"lambda1": 1e160}, {"lambda1": 1e300},
+        {"lambda2": 1e300}, {"schedule_c": 1e300},
+    ], ids=["fuzz-example", "lambda1-1e160", "lambda1-1e300", "lambda2-1e300", "schedule_c-1e300"])
+    def test_failed_cells_without_a_warning(self, tmp_path, capsys, monkeypatch, patch):
+        monkeypatch.setenv("SPECOPT_THREADS", "1")  # the trials run here, under the filter
+        raw = {"methods": ["SPEG-s", "SPEG-g", "S-SPEG", "H-SPEG", "GD", "Adam"], "max_iters": 5, **patch}
+        cfg = write_config(tmp_path, **raw)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_complete_bundle(out)
+
+
 def _per_element_rows(records):
     """The CSV body as the old per-element loop wrote it: the reference for format_trial_rows."""
     lines = []
@@ -188,9 +210,10 @@ def _record(f_current, grad_norm, status):
 
 
 class TestTrialRows:
-    def test_equals_per_element_loop_bitwise(self):
+    def test_equals_per_element_loop_bitwise(self, monkeypatch):
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
         cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "lambda2": 1e6, "methods": ["GD", "SPEG-s"]})
-        _, records = run_trials(cfg, threads=1)
+        _, records = run_trials(cfg)
         assert records["GD"][0].status == "numerical_failure"
         assert math.isinf(records["GD"][0].grad_norm[-1])
         records["Adam"] = [
@@ -216,9 +239,10 @@ class TestTrialRows:
         header = "method,trial,iter,f_current,f_best,grad_norm\n"
         assert (out / "trajectories.csv").read_text() == header + _per_element_rows(records)
 
-    def test_write_bundle_rejects_stats_without_rows(self, tmp_path):
+    def test_write_bundle_rejects_stats_without_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
         cfg = ExperimentConfig.from_dict(BASE_CONFIG)
-        stats, records = run_trials(cfg, threads=1)
+        stats, records = run_trials(cfg)
         with pytest.raises(ValueError, match="on_trial=format_trial_rows"):
             cli.write_bundle(tmp_path, cfg, stats, records, 0.0)
         assert _tree(tmp_path) == []

@@ -12,6 +12,7 @@ from specopt.harness import (
     ConfigError,
     ExperimentConfig,
     aggregate_stats,
+    fork_map,
     run_trials,
     sample_instance,
     substream,
@@ -141,10 +142,12 @@ class TestRunTrials:
             for a, b in zip(r1[method], r2[method]):
                 assert np.array_equal(a.f_current, b.f_current)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         cfg = self._cfg()
-        s1, _ = run_trials(cfg, threads=1)
-        s4, _ = run_trials(cfg, threads=4)
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
+        s1, _ = run_trials(cfg)
+        monkeypatch.setenv("SPECOPT_THREADS", "4")
+        s4, _ = run_trials(cfg)
         for method in cfg.methods:
             assert s1.per_method[method].finals == s4.per_method[method].finals
 
@@ -187,8 +190,10 @@ class TestRunTrials:
         # lambda2 = 1e6 makes every GD cell fail; failed records must match too
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         cfg = self._cfg(methods=list(METHOD_NAMES), lambda2=lambda2)
-        s1, r1 = run_trials(cfg, threads=1)
-        s4, r4 = run_trials(cfg, threads=4)
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
+        s1, r1 = run_trials(cfg)
+        monkeypatch.setenv("SPECOPT_THREADS", "4")
+        s4, r4 = run_trials(cfg)
         assert (s1.workers, s4.workers) == (1, cfg.trials)
         if lambda2 == 1e6:
             assert all(rec.status == "numerical_failure" for rec in r4["GD"])
@@ -202,38 +207,24 @@ class TestRunTrials:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_on_trial_runs_where_the_trial_ran(self, monkeypatch, threads):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SPECOPT_THREADS", str(threads))
         cfg = self._cfg(methods=["GD", "SPEG-s"], trials=3)
-        stats, records = run_trials(cfg, threads=threads, on_trial=_trial_summary)
+        stats, records = run_trials(cfg, on_trial=_trial_summary)
         assert stats.workers == threads
         assert [t for t, _, _ in stats.per_trial] == [0, 1, 2]
         for trial, pid, lengths in stats.per_trial:
             assert (pid == os.getpid()) == (threads == 1)
             assert lengths == {m: len(records[m][trial]) for m in cfg.methods}
-        assert run_trials(cfg, threads=threads)[0].per_trial == []
+        assert run_trials(cfg)[0].per_trial == []
 
     @pytest.mark.parametrize("threads,cpus,trials,expected", [
         (4, 2, 3, 2), (2, 8, 5, 2), (8, 8, 3, 3), (1, 8, 5, None), (8, 8, 1, None),
     ])
-    def test_pool_size_capped(self, monkeypatch, threads, cpus, trials, expected):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context):
-                pools.append((max_workers, mp_context.get_start_method()))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size_capped(self, monkeypatch, recording_pool, threads, cpus, trials, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        stats, _ = run_trials(self._cfg(methods=["GD"], trials=trials, max_iters=2), threads=threads)
-        assert pools == ([] if expected is None else [(expected, "fork")])
+        monkeypatch.setenv("SPECOPT_THREADS", str(threads))
+        stats, _ = run_trials(self._cfg(methods=["GD"], trials=trials, max_iters=2))
+        assert recording_pool == ([] if expected is None else [(expected, "fork")])
         assert stats.workers == (expected or 1)
 
     def test_serial_without_fork(self, monkeypatch):
@@ -243,5 +234,31 @@ class TestRunTrials:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        stats, _ = run_trials(self._cfg(methods=["GD"], max_iters=2), threads=4)
+        monkeypatch.setenv("SPECOPT_THREADS", "4")
+        stats, _ = run_trials(self._cfg(methods=["GD"], max_iters=2))
         assert stats.workers == 1
+
+
+@pytest.mark.parametrize("threads,order,processes,pools", [
+    ("4", ["beside", 0, 1, 2], 4, [(3, "fork")]),
+    ("1", [0, 1, 2, "beside"], 1, []),
+])
+def test_fork_map_runs_beside_before_it_waits_on_the_pool(monkeypatch, recording_pool,
+                                                          threads, order, processes, pools):
+    # the stand-in pool maps lazily, as a real one hands out results only when they are read,
+    # so an item runs before beside only when fork_map waited on the pool first
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("SPECOPT_THREADS", threads)
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return item * 10
+
+    def beside():
+        calls.append("beside")
+        return "here"
+
+    assert fork_map(fn, range(3), beside) == ([0, 10, 20], "here", processes)
+    assert calls == order
+    assert recording_pool == pools

@@ -363,6 +363,14 @@ class TestCatalog1d:
         with pytest.raises(ValueError):
             objectives.test_function_1d("nope")
 
+    @pytest.mark.parametrize("point", [-0.5, [[-0.5]], [-0.5, 1.0]])
+    def test_point_must_be_a_vector_of_one(self, point):
+        # as for every other objective, a bare float or another shape is no point
+        obj = objectives.test_function_1d("abs")
+        for oracle in (obj.value, obj.one_sided_basis, sum_abs(1).value):
+            with pytest.raises(ValueError, match="dimension 1"):
+                oracle(point)
+
     def test_oracle_symmetry_under_negated_direction(self):
         rng = np.random.default_rng(10)
         for name in objectives.catalog_1d_names():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specopt import objectives, optimizers, specular
+from specopt import checks, objectives, optimizers, specular
 from specopt.objectives import DiagonalLasso, ElasticNetProblem, Objective
 from specopt.optimizers import (
     Box,
@@ -413,6 +413,19 @@ class TestUserObjective:
             assert (list(rec.f_current), list(rec.f_best), list(rec.grad_norm)) == ref
 
 
+def test_not_a_subgradient_of_a_non_separable_kink():
+    # negative control: specopt checks the subgradient property only for
+    # separable kink terms; at 0, MaxPair has g = (sqrt(2) - 1)(1, 1), and
+    # f(w) >= f(0) + g.w fails along w = t(-1, -1) for t below 3 - 2 sqrt(2)
+    obj = MaxPair()
+    g = specular_gradient(obj, np.zeros(2))
+    assert g == pytest.approx([math.sqrt(2.0) - 1.0] * 2, rel=1e-15)
+    f0 = obj.value(np.zeros(2))
+    for t, holds in ((0.1, False), (0.17, False), (0.18, True)):
+        w = np.array([-t, -t])
+        assert (obj.value(w) >= f0 + float(g @ w)) == holds, t
+
+
 class TestSmoothFastPath:
     """Smooth iterates skip the kink machinery; kinked ones still reach it."""
 
@@ -547,10 +560,7 @@ class TestBasicInequality:
         lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 8), rng.uniform(-3.0, 3.0, 8), 1.0)
         x0 = rng.standard_normal(8)
         rec = speg_run(lasso, x0, StepSchedule.normalized_diminishing(4.0), 3000)
-        fstar = lasso.value(lasso.minimizer())
-        bounds = basic_inequality_bound(x0, lasso.minimizer(),
-                                        zip(rec.h_trace, rec.grad_norm[: rec.h_trace.size]))
-        assert np.all(rec.f_best[: bounds.size] - fstar <= bounds + 1e-12)
+        assert checks.basic_inequality_excess(lasso, x0, lasso.minimizer(), rec) <= 1e-12
 
     def test_constant_step_shape(self):
         # with h and the gradient norm frozen, the bound decays like

@@ -1,6 +1,7 @@
 """Assembly, estimation, and diagnostic tests for specular derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,14 @@ class TestGradient:
         x = np.array([3.0, -2.0])
         # value is ||x||^2/4 here (m = 2), so the gradient is x/2
         assert np.allclose(specular_gradient(p, x), x / 2.0, atol=1e-14)
+
+    def test_huge_partials_raise_without_a_warning(self):
+        # partials of 1e154 + 2 overflow the smooth-point screen's squared norm
+        p = ElasticNetProblem(np.ones((1, 3)), np.ones(1), 1e154, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HypothesisViolationError):
+                specular_gradient(p, np.ones(3))
 
 
 class TestJacobian:
