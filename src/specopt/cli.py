@@ -232,10 +232,10 @@ def cmd_specgrad(args) -> int:
             raise ValueError(f"{args.function} expects {obj.dimension} coordinates, got {point.size}")
         if not np.isfinite(point).all():
             raise ValueError(f"coordinates must be finite, got {args.point}")
+        grad = specular_gradient(obj, point)  # HypothesisViolationError is a ValueError
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    grad = specular_gradient(obj, point)
     plus, minus = obj.one_sided_basis(point)
     pairs = [{"plus": p, "minus": m} for p, m in zip(plus.tolist(), minus.tolist())]
     print(json.dumps({"function": args.function, "point": point.tolist(),

@@ -1,11 +1,13 @@
 """Specular-gradient optimizers, classical baselines, schedules, and run records.
 
-All runs share one iteration loop: at iterate x_k the step direction and the
-objective value are evaluated and recorded, the stop conditions are checked,
-and the update x_{k+1} = x_k - h_k g_k is applied.  A run therefore records
-one row per visited iterate, the last one carrying the gradient that
-triggered the stop.  Methods are not descent methods, so the best iterate is
-tracked separately.
+All runs share one iteration loop, ``_run_loop``: at iterate x_k the method
+supplies the objective value and the one-sided partials, the loop assembles
+the specular gradient g_k, records the row, checks the stop conditions, and
+applies x_{k+1} = x_k - h_k d_k, with d_k = g_k or, for Adam, a direction
+derived from g_k.  A run therefore records one row per visited iterate, the
+last one carrying the gradient that triggered the stop (an infinite norm
+where it could not be assembled).  Methods are not descent methods, so the
+best iterate is tracked separately.
 """
 
 from __future__ import annotations
@@ -77,12 +79,11 @@ class StepSchedule:
 class RunRecord:
     """Per-iteration trajectory of one optimizer run.
 
-    Row k holds the objective value, running best value, and step-direction
-    norm at iterate x_k.  ``h_trace`` holds the step sizes actually applied
-    (one fewer entry than rows when the run stopped cleanly).
+    Row k holds the objective value, running best value, and specular
+    gradient norm at iterate x_k.  ``h_trace`` holds the step sizes actually
+    applied (one fewer entry than rows when the run stopped cleanly).
     """
 
-    iters: np.ndarray
     f_current: np.ndarray
     f_best: np.ndarray
     grad_norm: np.ndarray
@@ -91,7 +92,12 @@ class RunRecord:
     h_trace: np.ndarray
 
     def __len__(self) -> int:
-        return self.iters.size
+        return self.f_current.size
+
+    @property
+    def iters(self) -> np.ndarray:
+        """The iteration number of each row, 0 to len - 1."""
+        return np.arange(self.f_current.size)
 
     @property
     def final_f_best(self) -> float:
@@ -101,18 +107,22 @@ class RunRecord:
 # A diverging run overflows to inf or NaN, which the loop reports as a failed
 # run; numpy need not warn about it as well.  Set once per run, not per step.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> RunRecord:
-    """Shared iteration engine.  evaluate(k, x) -> (f(x), step_vector, grad_norm).
+def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
+              direction=None) -> RunRecord:
+    """Shared iteration engine.  partials(k, x) -> (f(x), (plus, minus)).
 
-    A step of None with an infinite norm marks an iterate whose gradient
-    could not be assembled; the run then stops as a numerical failure.
-    evaluate (and so the objective) must not write into x: the best iterate
+    The loop assembles the specular gradient g from the one-sided partials
+    and steps along g, or along direction(k, g) when that is given.  Where
+    the partials are infinite with one sign the gradient cannot be assembled:
+    the row is recorded with an infinite norm and the run stops as a
+    numerical failure, keeping the record so far.  That happens once an
+    iterate has diverged far enough to promote a smooth slope to infinity.
+    partials (and so the objective) must not write into x: the best iterate
     is kept by reference, not copied.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     x = np.array(x0, dtype=float, copy=True)
-    ks: list[int] = []
     fc: list[float] = []
     fb: list[float] = []
     gn: list[float] = []
@@ -120,14 +130,18 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
     step_size = sched.step_size
     f_best = math.inf
     x_best = x  # x is a private copy and each step makes a new array, so no copy is needed
-    status = "max_iters"
     k = 0
     while True:
-        f, g, gnorm = evaluate(k, x)
+        f, (plus, minus) = partials(k, x)
+        try:
+            g = specular_from_one_sided_array(plus, minus)
+        except HypothesisViolationError:
+            gnorm = math.inf  # g is never read: the infinite norm stops the run below
+        else:
+            gnorm = _norm(g)
         if f < f_best:
             f_best = f
             x_best = x
-        ks.append(k)
         fc.append(f)
         fb.append(f_best)
         gn.append(gnorm)
@@ -141,11 +155,10 @@ def _run_loop(evaluate, sched: StepSchedule, x0, max_iters: int, eta: float) -> 
             status = "max_iters"
             break
         h = step_size(k, gnorm)
-        x = x - h * g
+        x = x - h * (g if direction is None else direction(k, g))
         h_trace.append(h)
         k += 1
     return RunRecord(
-        iters=np.asarray(ks, dtype=int),
         f_current=np.asarray(fc),
         f_best=np.asarray(fb),
         grad_norm=np.asarray(gn),
@@ -160,29 +173,12 @@ def _norm(g: np.ndarray) -> float:
     return math.sqrt(float(g.dot(g)))
 
 
-def _assembling_oracle(value_and_partials):
-    """The loop's evaluate(k, x) -> (f, g, ||g||) for f, (plus, minus) = value_and_partials(x).
-
-    g is the specular gradient assembled from the partials; k is ignored.
-    Where the one-sided values are both infinite with one sign, g is None and
-    its norm infinite.  That happens once an iterate has diverged far enough
-    to promote a smooth slope to infinity; the loop then reports the run as
-    failed, keeping the record so far.
-    """
-    def evaluate(k, x):
-        f, (plus, minus) = value_and_partials(x)
-        try:
-            g = specular_from_one_sided_array(plus, minus)
-        except HypothesisViolationError:
-            return f, None, math.inf
-        return f, g, _norm(g)
-    return evaluate
-
-
-def _gradient_oracle(obj):
-    """The loop's evaluate(k, x) -> (f(x), g, ||g||), g the specular gradient of obj at x or None."""
+def _value_and_partials(obj):
+    """The loop's partials(k, x) for obj: its fused hook, or value and one_sided_basis; k is ignored."""
     fused = getattr(obj, "value_and_one_sided_basis", None)
-    return _assembling_oracle(fused or (lambda x: (float(obj.value(x)), obj.one_sided_basis(x))))
+    if fused is not None:
+        return lambda k, x: fused(x)
+    return lambda k, x: (float(obj.value(x)), obj.one_sided_basis(x))
 
 
 def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_ETA) -> RunRecord:
@@ -192,7 +188,7 @@ def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_
     point; with a gradient-normalized schedule this also avoids dividing by
     zero).
     """
-    return _run_loop(_gradient_oracle(obj), sched, x0, max_iters, eta)
+    return _run_loop(_value_and_partials(obj), sched, x0, max_iters, eta)
 
 
 def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
@@ -212,34 +208,31 @@ def adam_run(obj, x0, lr: float, max_iters: int,
     x0 = np.asarray(x0, dtype=float)
     moment = np.zeros_like(x0)
     second = np.zeros_like(x0)
-    oracle = _gradient_oracle(obj)
 
-    def evaluate(k, x):
+    def direction(k, g):
         nonlocal moment, second
-        f, g, gnorm = oracle(k, x)
-        if g is None:
-            return f, None, gnorm
         moment = beta1 * moment + (1.0 - beta1) * g
         second = beta2 * second + (1.0 - beta2) * g * g
         m_hat = moment / (1.0 - beta1 ** (k + 1))
         v_hat = second / (1.0 - beta2 ** (k + 1))
-        return f, m_hat / (np.sqrt(v_hat) + eps), gnorm
+        return m_hat / (np.sqrt(v_hat) + eps)
 
-    return _run_loop(evaluate, StepSchedule.constant(lr), x0, max_iters, eta=0.0)
+    return _run_loop(_value_and_partials(obj), StepSchedule.constant(lr), x0, max_iters, eta=0.0,
+                     direction=direction)
 
 
 def _stochastic_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: int,
                     eta: float, rng, switch_k: int) -> RunRecord:
     """Full specular gradient at iterations k < switch_k, one sampled term's after."""
-    full = _gradient_oracle(problem)
+    full = _value_and_partials(problem)
     m = problem.m
-    sampled = _assembling_oracle(
-        lambda x: (float(problem.value(x)), problem.component_one_sided_basis(int(rng.integers(m)), x)))
 
-    def evaluate(k, x):
-        return full(k, x) if k < switch_k else sampled(k, x)
+    def partials(k, x):
+        if k < switch_k:
+            return full(k, x)
+        return float(problem.value(x)), problem.component_one_sided_basis(int(rng.integers(m)), x)
 
-    return _run_loop(evaluate, sched, x0, max_iters, eta)
+    return _run_loop(partials, sched, x0, max_iters, eta)
 
 
 def sspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: int,

@@ -37,20 +37,21 @@ class OneSidedPair:
 def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
     """Specular directional derivative from a one-sided pair along a direction of norm vnorm.
 
-    Finite magnitudes at or above INFINITY_THRESHOLD are promoted to +-inf,
-    whose limits afun carries.  The result is always finite; a pair infinite
-    with the same sign violates the existence hypothesis and is rejected.
+    The slopes per unit length, plus / vnorm and minus / vnorm, are promoted
+    to +-inf where their magnitude is at or above INFINITY_THRESHOLD; afun
+    carries those limits.  The result is always finite; slopes infinite with
+    the same sign violate the existence hypothesis and are rejected.
     """
     vnorm = float(vnorm)
     if not vnorm > 0.0 or math.isinf(vnorm) or math.isnan(vnorm):
         raise ValueError("vnorm must be a positive finite real")
-    plus = promote_extended(pair.plus)
-    minus = promote_extended(pair.minus)
+    plus = promote_extended(pair.plus / vnorm)
+    minus = promote_extended(pair.minus / vnorm)
     if math.isinf(plus) and plus == minus:
         raise HypothesisViolationError(
             f"one-sided derivatives are both {plus:+g}; specular derivative does not exist"
         )
-    return vnorm * afun(plus / vnorm, minus / vnorm)
+    return vnorm * afun(plus, minus)
 
 
 def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
@@ -85,9 +86,13 @@ def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.nda
 def specular_directional(obj, x, v) -> float:
     """Specular derivative at x along v (zero for v = 0); obj must also offer ``one_sided(x, v)``."""
     v = np.asarray(v, dtype=float)
-    vnorm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return 0.0
+    if math.isinf(vnorm) and np.isfinite(v).all():  # the squares overflowed; rescale by the largest entry
+        scale = float(np.abs(v).max())
+        vnorm = scale * float(np.linalg.norm(v / scale))
     return specular_from_one_sided(obj.one_sided(x, v), vnorm)
 
 

@@ -204,9 +204,9 @@ def _per_element_rows(records):
 
 def _record(f_current, grad_norm, status):
     f_current = np.asarray(f_current, dtype=float)
-    return RunRecord(iters=np.arange(f_current.size), f_current=f_current,
-                     f_best=np.minimum.accumulate(f_current), grad_norm=np.asarray(grad_norm, dtype=float),
-                     status=status, x_best=np.zeros(1), h_trace=np.zeros(0))
+    return RunRecord(f_current=f_current, f_best=np.minimum.accumulate(f_current),
+                     grad_norm=np.asarray(grad_norm, dtype=float), status=status, x_best=np.zeros(1),
+                     h_trace=np.zeros(0))
 
 
 class TestTrialRows:
@@ -661,6 +661,14 @@ class TestSpecgradCommand:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("point", ["1e12", "1e200"])
+    def test_point_without_a_gradient_rejected(self, capsys, point):
+        # the slope 2 x of quad reaches INFINITY_THRESHOLD on both sides, so assembly raises
+        assert main(["specgrad", "quad", point]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_line(captured.err, "error: one-sided derivatives are both +inf")
 
 
 class TestCheckCommand:

@@ -144,6 +144,39 @@ class TestSpegRuns:
             assert list(rec.f_current) == [p.value(x0)]
             assert list(rec.grad_norm) == [np.inf]
 
+    def test_unassemblable_gradient_past_the_first_row(self):
+        # the half square t^2 / 2 (one sample term) whose partials turn +inf on
+        # both sides from the third call on, so each run stops at row 2
+        class DivergesOnThirdCall:
+            dimension = m = 1
+
+            def __init__(self):
+                self.calls = 0
+
+            def value(self, x):
+                return 0.5 * float(x[0]) ** 2
+
+            def one_sided_basis(self, x):
+                self.calls += 1
+                g = np.array(x, dtype=float) if self.calls < 3 else np.full(1, np.inf)
+                return g, g
+
+            def component_one_sided_basis(self, j, x):
+                return self.one_sided_basis(x)
+
+        x0 = np.array([1.0])
+        sched = StepSchedule.normalized_diminishing(4.0)
+        runs = {"SPEG-s": lambda p: speg_run(p, x0, sched, 10),
+                "GD": lambda p: gd_run(p, x0, 0.1, 10),
+                "Adam": lambda p: adam_run(p, x0, 0.01, 10),
+                "H-SPEG": lambda p: hspeg_run(p, x0, sched, switch_k=2, max_iters=10, rng=rng_for(1))}
+        for method, run in runs.items():
+            rec = run(DivergesOnThirdCall())
+            assert rec.status == "numerical_failure", method
+            assert len(rec) == 3 and rec.h_trace.size == 2, method
+            assert np.all(np.isfinite(rec.f_current)), method
+            assert np.all(np.isfinite(rec.grad_norm[:2])) and rec.grad_norm[2] == np.inf, method
+
 
 class TestGdAdam:
     def test_gd_single_step(self):

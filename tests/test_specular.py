@@ -245,6 +245,16 @@ class TestDirectionalProperties:
             scaled = specular_directional(p, x, c * v)
             assert scaled == pytest.approx(c * base, rel=1e-10)
 
+    def test_long_directions(self):
+        # the slope per unit length decides promotion to infinity, not the raw
+        # one-sided pair; |v| past about 1.3e154 overflows its squares but not itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert specular_directional(sum_abs(1), [1.0], [1e12]) == 1e12
+            assert specular_directional(sum_abs(1), [1.0], [1e300]) == 1e300
+            unit = specular_directional(sum_abs(2), [1.0, 0.0], [1.0, 1.0])
+            assert specular_directional(sum_abs(2), [1.0, 0.0], [1e200, 1e200]) == 1e200 * unit
+
     def test_chain_rule_reduction(self):
         # |v| times the 1-D specular derivative of t -> f(x + t v)/|v| at t = 0
         # recovers the directional derivative along v.

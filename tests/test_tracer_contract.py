@@ -41,7 +41,8 @@ def test_bundle_span_counts_a_real_run(tmp_path, monkeypatch):
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m": 4, "n": 3, "lambda1": 0.1, "lambda2": 1.0, "trials": 2,
-                               "max_iters": 10, "methods": ["SPEG-s", "GD"], "seed": 5}))
+                               "max_iters": 10, "switch_k": 4, "methods": list(tracing.METHODS),
+                               "seed": 5}))
     out = tmp_path / "out"
     tracer = tracing.Tracer()
     try:
@@ -51,11 +52,13 @@ def test_bundle_span_counts_a_real_run(tmp_path, monkeypatch):
         assert tracer.uninstall() == []
     [span] = [s for s in tracer.spans if s["name"] == "cli.write_bundle"]
     csv_rows = len((out / "trajectories.csv").read_text().splitlines()) - 1
-    assert span["rows"] == csv_rows == 2 * 2 * 11
+    assert span["rows"] == csv_rows == 6 * 2 * 11
     assert span["bytes"] == sum(p.stat().st_size for p in out.iterdir()) > 0
     assert sorted(p.name for p in out.iterdir()) == ["runmeta.json", "stats.json", "trajectories.csv"]
     metrics = tracer.metrics()
     assert metrics["optimizers.iters"] == csv_rows
+    for method in tracing.METHODS:
+        assert metrics[f"optimizers.{method}.us_per_iter"] > 0, method
     assert metrics["cli.bundle_bytes"] == span["bytes"]
 
 
