@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ElasticNetProblem
-from .specular import HypothesisViolationError, specular_from_one_sided_array
+from .specular import HypothesisViolationError, specular_from_one_sided_array, vector_norm
 from .specular import specular_gradient  # noqa: F401  not called here; the benchmark tracer patches this name
 
 DEFAULT_ETA = 1e-12
@@ -42,6 +42,10 @@ class StepSchedule:
     The diminishing lengths t_k = c/(k+1) are square-summable but not
     summable; the geometric lengths are summable, which is what makes that
     variant stall away from a minimizer.
+
+    Every kind gives steps that do not grow with k at a fixed ||g_k||, and
+    ``speg_run`` relies on that: once an iterate repeats bit for bit, no later
+    step can move it (see ``_run_loop``).  A new kind must keep that property.
     """
 
     kind: str
@@ -108,7 +112,7 @@ class RunRecord:
 # run; numpy need not warn about it as well.  Set once per run, not per step.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
-              direction=None) -> RunRecord:
+              direction=None, stateless: bool = False) -> RunRecord:
     """Shared iteration engine.  partials(k, x) -> (f(x), (plus, minus)).
 
     The loop assembles the specular gradient g from the one-sided partials
@@ -119,6 +123,15 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     iterate has diverged far enough to promote a smooth slope to infinity.
     partials (and so the objective) must not write into x: the best iterate
     is kept by reference, not copied.
+
+    stateless promises that partials ignores k, so with no direction a row
+    depends on x alone.  Such a run compares each new iterate with the last,
+    bit for bit; when a step leaves x unchanged, every later step applies the
+    same g with a step size no larger (the schedule's steps do not grow in k
+    at a fixed ||g||) and, rounding being monotone, cannot move x either.  The
+    loop then appends the remaining rows as copies of this one, with their
+    step sizes from the schedule, instead of evaluating them, and stops with
+    status max_iters: the same record the evaluated rows would give.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -130,6 +143,7 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     step_size = sched.step_size
     f_best = math.inf
     x_best = x  # x is a private copy and each step makes a new array, so no copy is needed
+    last = x.tobytes() if stateless and direction is None else None  # bytes tell -0.0 from 0.0
     k = 0
     while True:
         f, (plus, minus) = partials(k, x)
@@ -157,6 +171,17 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
         h = step_size(k, gnorm)
         x = x - h * (g if direction is None else direction(k, g))
         h_trace.append(h)
+        if last is not None:
+            now = x.tobytes()
+            if now == last:  # a fixed point: rows k+1..max_iters repeat row k
+                rest = max_iters - k
+                fc += [f] * rest
+                fb += [f_best] * rest
+                gn += [gnorm] * rest
+                h_trace += [step_size(j, gnorm) for j in range(k + 1, max_iters)]
+                status = "max_iters"
+                break
+            last = now
         k += 1
     return RunRecord(
         f_current=np.asarray(fc),
@@ -188,7 +213,7 @@ def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_
     point; with a gradient-normalized schedule this also avoids dividing by
     zero).
     """
-    return _run_loop(_value_and_partials(obj), sched, x0, max_iters, eta)
+    return _run_loop(_value_and_partials(obj), sched, x0, max_iters, eta, stateless=True)
 
 
 def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
@@ -283,7 +308,7 @@ class EuclideanBall:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center
-        dist = float(np.linalg.norm(offset))
+        dist = vector_norm(offset)
         if dist <= self.radius:
             return np.array(x, dtype=float)
         return self.center + offset * (self.radius / dist)

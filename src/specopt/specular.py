@@ -83,16 +83,29 @@ def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.nda
     return out
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float array, also where the squares of its entries under- or overflow.
+
+    Where ``np.linalg.norm(v)`` is finite and nonzero its bits are returned.
+    Where it is 0 or inf although every entry is finite and one is nonzero,
+    v is first rescaled by its largest magnitude, so a tiny vector is not
+    taken for the zero vector nor a huge finite one for an infinite one.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if (norm == 0.0 or math.isinf(norm)) and np.isfinite(v).all():
+        scale = float(np.abs(v).max(initial=0.0))
+        if scale > 0.0:
+            norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def specular_directional(obj, x, v) -> float:
     """Specular derivative at x along v (zero for v = 0); obj must also offer ``one_sided(x, v)``."""
     v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):
-        vnorm = float(np.linalg.norm(v))
+    vnorm = vector_norm(v)
     if vnorm == 0.0:
         return 0.0
-    if math.isinf(vnorm) and np.isfinite(v).all():  # the squares overflowed; rescale by the largest entry
-        scale = float(np.abs(v).max())
-        vnorm = scale * float(np.linalg.norm(v / scale))
     return specular_from_one_sided(obj.one_sided(x, v), vnorm)
 
 
@@ -147,7 +160,7 @@ def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdE
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    vnorm = float(np.linalg.norm(v))
+    vnorm = vector_norm(v)
     if vnorm == 0.0:
         raise ValueError("direction must be nonzero")
     if h_schedule is None:
@@ -175,7 +188,7 @@ def frechet_residual(obj, x, ell, w) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     ell = np.atleast_1d(np.asarray(ell, dtype=float))
-    wnorm = float(np.linalg.norm(w))
+    wnorm = vector_norm(w)
     if wnorm == 0.0:
         raise ValueError("displacement must be nonzero")
     fx = float(obj.value(x))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specopt import checks, objectives, optimizers, specular
+from specopt import checks, harness, objectives, optimizers, specular
 from specopt.objectives import DiagonalLasso, ElasticNetProblem, Objective
 from specopt.optimizers import (
     Box,
@@ -382,6 +382,199 @@ class TestFusedLoopIdentity:
             self._assert_same(adam_run(p, x0, 0.01, self.MAX_ITERS), ref)
 
 
+def plain_loop(partials, x0, sched, max_iters, eta, direction=None):
+    """The iteration engine written out with every row evaluated, in its order of operations:
+    partials(k, x), specular_from_one_sided_array, sqrt(g.g), the schedule's step h, x - h d.
+
+    Returns the record a run must produce and the first row whose step left x
+    unchanged bit for bit (None when no step did).
+    """
+    x = np.array(x0, dtype=float)
+    f_current, f_best, grad_norm, h_trace = [], [], [], []
+    best, x_best, stall = math.inf, x, None
+    k = 0
+    while True:
+        f, (plus, minus) = partials(k, x)
+        g = specular.specular_from_one_sided_array(plus, minus)
+        gnorm = math.sqrt(float(g.dot(g)))
+        if f < best:
+            best, x_best = f, x
+        f_current.append(f)
+        f_best.append(best)
+        grad_norm.append(gnorm)
+        if not (math.isfinite(f) and math.isfinite(gnorm)):
+            status = "numerical_failure"
+            break
+        if gnorm <= eta:
+            status = "stationary"
+            break
+        if k >= max_iters:
+            status = "max_iters"
+            break
+        h = sched.step_size(k, gnorm)
+        x_next = x - h * (g if direction is None else direction(k, g))
+        if stall is None and x_next.tobytes() == x.tobytes():
+            stall = k
+        h_trace.append(h)
+        x = x_next
+        k += 1
+    record = optimizers.RunRecord(np.asarray(f_current), np.asarray(f_best), np.asarray(grad_norm),
+                                  status, x_best, np.asarray(h_trace))
+    return record, stall
+
+
+def fused_partials(p):
+    return lambda k, x: p.value_and_one_sided_basis(x)
+
+
+def sampled_partials(p, switch_k, rng):
+    """The full partials before row switch_k, one drawn component's after, as S-SPEG and H-SPEG take them."""
+    def partials(k, x):
+        if k < switch_k:
+            return p.value_and_one_sided_basis(x)
+        return p.value(x), p.component(int(rng.integers(p.m))).one_sided_basis(x)
+    return partials
+
+
+def adam_direction(n):
+    step = adam_step(n, 1.0)  # lr 1 multiplies exactly
+    return lambda k, g: step(k, g, None)
+
+
+def _net_start():
+    rng = rng_for(26)
+    p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
+    x0 = rng.standard_normal(9)
+    x0[::3] = 0.0
+    x0[4] = -0.0
+    return p, x0
+
+
+@pytest.fixture
+def oracle_rows(monkeypatch):
+    """Counts the rows runs evaluate: each row calls the fused hook or value exactly once."""
+    calls = [0]
+    for cls in (ElasticNetProblem, DiagonalLasso):
+        for name in ("value_and_one_sided_basis", "value"):
+            def counted(self, x, method=getattr(cls, name)):
+                calls[0] += 1
+                return method(self, x)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def assert_same_record(rec, ref):
+    for name in ("f_current", "f_best", "grad_norm", "h_trace", "x_best"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert rec.status == ref.status
+
+
+class TestFixedPointReplay:
+    """Runs whose rows depend on x alone stop evaluating at a fixed point; the record is the plain loop's.
+
+    Every run here is compared byte for byte with plain_loop.  SPEG and GD
+    runs may finish from the first row whose step leaves x unchanged; S-SPEG,
+    H-SPEG and Adam carry state past x (the row draw, the moments) and must
+    evaluate every row.
+    """
+
+    MAX_ITERS = 300
+    GEOMETRIC = StepSchedule.geometric(0.5)
+    DIMINISHING = StepSchedule.normalized_diminishing(4.0)
+
+    def _run_and_reference(self, method, p, x0):
+        """The library's run of method, as a thunk, and plain_loop's (record, stall) for it."""
+        n, eta, direction = self.MAX_ITERS, optimizers.DEFAULT_ETA, None
+        if method == "SPEG-s":
+            sched, run = self.DIMINISHING, lambda: speg_run(p, x0, self.DIMINISHING, n)
+        elif method == "SPEG-g":
+            sched, run = self.GEOMETRIC, lambda: speg_run(p, x0, self.GEOMETRIC, n)
+        elif method == "GD":
+            sched, eta, run = StepSchedule.constant(0.01), 0.0, lambda: gd_run(p, x0, 0.01, n)
+        else:
+            sched, eta, run = StepSchedule.constant(0.01), 0.0, lambda: adam_run(p, x0, 0.01, n)
+            direction = adam_direction(p.dimension)
+        return run, plain_loop(fused_partials(p), x0, sched, n, eta, direction)
+
+    @pytest.mark.parametrize("start", ["net", "lasso", "lasso-no-l1"])
+    @pytest.mark.parametrize("method", ["SPEG-s", "SPEG-g", "GD", "Adam"])
+    def test_matches_plain_loop(self, method, start, oracle_rows):
+        # the starts have exact zeros (0.0 and -0.0); with lambda1 > 0 the first rows take the kink branch
+        p, x0 = {"net": _net_start, "lasso": lambda: _lasso_start(1.0),
+                 "lasso-no-l1": lambda: _lasso_start(0.0)}[start]()
+        run, (ref, stall) = self._run_and_reference(method, p, x0)
+        oracle_rows[0] = 0
+        rec = run()
+        assert_same_record(rec, ref)
+        if method == "Adam" or stall is None:
+            assert oracle_rows[0] == len(rec)
+        else:
+            assert oracle_rows[0] <= stall + 1
+        if method == "SPEG-g":  # summable steps: every start here reaches a fixed point
+            assert stall is not None and stall < self.MAX_ITERS
+
+    def test_gd_reaches_a_fixed_point(self, oracle_rows):
+        # a constant step, large enough to converge within the run, meets a fixed point too
+        p, x0 = _lasso_start(0.0)
+        ref, stall = plain_loop(fused_partials(p), x0, StepSchedule.constant(0.5), self.MAX_ITERS, 0.0)
+        assert stall is not None and stall < self.MAX_ITERS - 1
+        oracle_rows[0] = 0
+        assert_same_record(gd_run(p, x0, 0.5, self.MAX_ITERS), ref)
+        assert oracle_rows[0] <= stall + 1
+
+    def test_fixed_point_above_the_best_value(self, oracle_rows):
+        # the repeated rows keep the running best, not the fixed point's value
+        rng = rng_for(69)
+        p = ElasticNetProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.3, 0.2)
+        x0 = 3.0 * rng.standard_normal(3)
+        ref, stall = plain_loop(fused_partials(p), x0, self.GEOMETRIC, self.MAX_ITERS, optimizers.DEFAULT_ETA)
+        assert stall is not None and ref.f_current[stall] > ref.f_best[stall]
+        oracle_rows[0] = 0
+        assert_same_record(speg_run(p, x0, self.GEOMETRIC, self.MAX_ITERS), ref)
+        assert oracle_rows[0] <= stall + 1
+
+    def test_table2_geometric_run_stalls(self, oracle_rows):
+        A, b, x0 = harness.sample_instance(50, 100, harness.substream(7, 0, 0))
+        p = ElasticNetProblem(A, b, 0.01, 1.0)
+        sched = StepSchedule.geometric(harness.GEOMETRIC_RATIO)
+        ref, stall = plain_loop(fused_partials(p), x0, sched, 2500, optimizers.DEFAULT_ETA)
+        oracle_rows[0] = 0
+        rec = speg_run(p, x0, sched, 2500)
+        assert_same_record(rec, ref)
+        assert rec.status == "max_iters" and len(rec) == 2501
+        assert stall is not None and stall < 100
+        assert oracle_rows[0] <= stall + 1
+
+    @pytest.mark.parametrize("switch_k", [0, 10])
+    def test_sampled_runs_evaluate_every_row(self, switch_k, oracle_rows):
+        # under summable steps x stops moving, yet each row draws another component
+        p, x0 = _net_start()
+        ref, stall = plain_loop(sampled_partials(p, switch_k, rng_for(5)), x0, self.GEOMETRIC,
+                                self.MAX_ITERS, optimizers.DEFAULT_ETA)
+        assert stall is not None and stall < self.MAX_ITERS - 1
+        oracle_rows[0] = 0
+        if switch_k == 0:
+            rec = sspeg_run(p, x0, self.GEOMETRIC, self.MAX_ITERS, rng=rng_for(5))
+        else:
+            rec = hspeg_run(p, x0, self.GEOMETRIC, switch_k, self.MAX_ITERS, rng=rng_for(5))
+        assert_same_record(rec, ref)
+        assert oracle_rows[0] == len(rec)
+
+    def test_adam_evaluates_every_row(self, oracle_rows):
+        # a step of 1e-20 cannot move an iterate whose entries are far from zero
+        p, _ = _net_start()
+        x0 = rng_for(27).uniform(0.5, 2.0, p.dimension)
+        ref, stall = plain_loop(fused_partials(p), x0, StepSchedule.constant(1e-20), 50, 0.0,
+                                adam_direction(p.dimension))
+        assert stall == 0
+        oracle_rows[0] = 0
+        rec = adam_run(p, x0, 1e-20, 50)
+        assert_same_record(rec, ref)
+        assert oracle_rows[0] == len(rec)
+
+
 class MaxPair:
     """f(x) = max(x1, x2) + ||x||^2 / 2: not separable, and it offers only the Objective protocol."""
 
@@ -544,6 +737,12 @@ class TestProjection:
         ball = EuclideanBall(np.zeros(2), 1.0)
         out = projected_speg_step([2.0, 0.0], [0.0, 0.0], 1.0, ball)
         assert np.allclose(out, [1.0, 0.0], atol=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_far_finite_point(self):
+        # the squared distance overflows; the projection is still the radial point
+        out = EuclideanBall(np.zeros(2), 1.0).project(np.array([1e200, 1e200]))
+        assert np.allclose(out, [math.sqrt(0.5)] * 2, rtol=1e-15)
 
     def test_box_clamp(self):
         box = Box(np.zeros(2), np.ones(2))

@@ -213,6 +213,13 @@ class TestFdEstimator:
         with pytest.raises(ValueError):
             fd_specular_directional(lambda z: 0.0, [0.0], [0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_directions_whose_squares_under_or_overflow(self, scale):
+        est = fd_specular_directional(lambda z: 3.0 * float(z[0]), [0.0], [scale])
+        assert est.converged
+        assert est.value == pytest.approx(3.0 * scale, rel=1e-12)
+
     def test_nonconvergent_schedule_reports_failure(self):
         # kink much closer than any step: the backward slope keeps moving
         est = fd_specular_directional(lambda z: abs(float(z[0])), [1e-12], [1.0])
@@ -254,6 +261,14 @@ class TestDirectionalProperties:
             assert specular_directional(sum_abs(1), [1.0], [1e300]) == 1e300
             unit = specular_directional(sum_abs(2), [1.0, 0.0], [1.0, 1.0])
             assert specular_directional(sum_abs(2), [1.0, 0.0], [1e200, 1e200]) == 1e200 * unit
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_short_directions(self):
+        # below about 1e-154 the squares of v underflow, yet v is not the zero direction
+        assert specular_directional(sum_abs(1), [1.0], [1e-200]) == 1e-200
+        assert specular_directional(sum_abs(1), [1.0], [5e-324]) == 5e-324
+        unit = specular_directional(sum_abs(2), [1.0, 0.0], [1.0, 1.0])
+        assert specular_directional(sum_abs(2), [1.0, 0.0], [1e-200, 1e-200]) == 1e-200 * unit
 
     def test_chain_rule_reduction(self):
         # |v| times the 1-D specular derivative of t -> f(x + t v)/|v| at t = 0
@@ -331,3 +346,10 @@ class TestFrechetResidual:
         obj = objectives.test_function_1d("abs")
         with pytest.raises(ValueError):
             frechet_residual(obj, [0.0], [0.0], [0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_displacements_whose_squares_under_or_overflow(self):
+        # a displacement too short to move x leaves both chords flat against the slope-1 model
+        assert frechet_residual(sum_abs(1), [1.0], [1.0], [1e-200]) == 1.0
+        # |1 -+ 1e200| are both 1e200: chord slopes 1 and -1 average to 0
+        assert frechet_residual(objectives.test_function_1d("abs"), [1.0], [1.0], [1e200]) == 1.0
