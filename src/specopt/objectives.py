@@ -49,7 +49,14 @@ class Objective(Protocol):
 # helpers add the penalty to the value or to the smooth gradient g.
 
 def _l1_value(smooth, x: np.ndarray, lambda1: float) -> float:
-    return float(smooth) + lambda1 * float(np.abs(x).sum())
+    return float(smooth) + lambda1 * float(np.add.reduce(np.abs(x)))
+
+
+def _ridge_value(data, x: np.ndarray, lambda2: float):
+    """data + lambda2 ||x||^2 / 2; with lambda2 = 0 the term is left out, so a huge x gives no 0 * inf."""
+    if lambda2 == 0.0:
+        return data  # data >= 0, so adding the term's +0.0 would not change it
+    return data + 0.5 * lambda2 * (x @ x)
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +144,7 @@ class ElasticNetProblem(_Separable):
         return self.A.shape[1]
 
     def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value(0.5 * (r @ r) / self.m + 0.5 * self.lambda2 * (x @ x), x, self.lambda1)
+        return _l1_value(_ridge_value(0.5 * (r @ r) / self.m, x, self.lambda2), x, self.lambda1)
 
     def _smooth_gradient_at(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         return self.A.T @ r / self.m + self.lambda2 * x
@@ -203,7 +210,7 @@ class ElasticNetComponent(_Separable):
     def value(self, x) -> float:
         x = _check_dim(x, self.dimension)
         r = float(self.a @ x) - self.bj
-        return _l1_value(0.5 * r * r + 0.5 * self.lambda2 * (x @ x), x, self.lambda1)
+        return _l1_value(_ridge_value(0.5 * r * r, x, self.lambda2), x, self.lambda1)
 
     def smooth_gradient(self, x) -> np.ndarray:
         return _sample_gradient(self.a, self.bj, self.lambda2, _check_dim(x, self.dimension))
@@ -259,7 +266,7 @@ class DiagonalLasso(_Separable):
         return self.d.shape[0]
 
     def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value((self._half_d * (r * r)).sum(), x, self.lambda1)
+        return _l1_value(np.add.reduce(self._half_d * (r * r)), x, self.lambda1)
 
     def value(self, x) -> float:
         x = _check_dim(x, self.dimension)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ElasticNetProblem
-from .specular import HypothesisViolationError, specular_from_one_sided_array, vector_norm
+from .specular import HypothesisViolationError, specular_with_norm, vector_norm
 from .specular import specular_gradient  # noqa: F401  not called here; the benchmark tracer patches this name
 
 DEFAULT_ETA = 1e-12
@@ -115,12 +115,13 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
               direction=None, stateless: bool = False) -> RunRecord:
     """Shared iteration engine.  partials(k, x) -> (f(x), (plus, minus)).
 
-    The loop assembles the specular gradient g from the one-sided partials
-    and steps along g, or along direction(k, g) when that is given.  Where
-    the partials are infinite with one sign the gradient cannot be assembled:
-    the row is recorded with an infinite norm and the run stops as a
-    numerical failure, keeping the record so far.  That happens once an
-    iterate has diverged far enough to promote a smooth slope to infinity.
+    The loop assembles the specular gradient g and its norm from the
+    one-sided partials and steps along g, or along direction(k, g) when that
+    is given.  Where the partials are infinite with one sign the gradient
+    cannot be assembled: the row is recorded with an infinite norm and the
+    run stops as a numerical failure, keeping the record so far.  That
+    happens once an iterate has diverged far enough to promote a smooth slope
+    to infinity.  NaN partials end the run the same way, with a NaN norm.
     partials (and so the objective) must not write into x: the best iterate
     is kept by reference, not copied.
 
@@ -148,11 +149,13 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     while True:
         f, (plus, minus) = partials(k, x)
         try:
-            g = specular_from_one_sided_array(plus, minus)
+            g, gnorm = specular_with_norm(plus, minus)
         except HypothesisViolationError:
             gnorm = math.inf  # g is never read: the infinite norm stops the run below
-        else:
-            gnorm = _norm(g)
+        except ValueError:
+            if not (np.isnan(plus).any() or np.isnan(minus).any()):
+                raise
+            gnorm = math.nan  # as above; the assembly rejects NaN partials
         if f < f_best:
             f_best = f
             x_best = x
@@ -193,11 +196,6 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     )
 
 
-def _norm(g: np.ndarray) -> float:
-    """Euclidean norm of a float vector, the bits of np.linalg.norm without its wrapper."""
-    return math.sqrt(float(g.dot(g)))
-
-
 def _value_and_partials(obj):
     """The loop's partials(k, x) for obj: its fused hook, or value and one_sided_basis; k is ignored."""
     fused = getattr(obj, "value_and_one_sided_basis", None)
@@ -230,6 +228,11 @@ def adam_run(obj, x0, lr: float, max_iters: int,
     """Adam with bias correction, driven by the specular gradient."""
     if not 0.0 < lr < math.inf:
         raise ValueError("lr must be positive and finite")
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1)")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     moment = np.zeros_like(x0)
     second = np.zeros_like(x0)

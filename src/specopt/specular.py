@@ -60,16 +60,38 @@ def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.nda
     Where the two one-sided values agree the derivative is the classical one,
     plus itself; afun_array runs on the kink entries only.  When both
     arguments are one array of at most one dimension (no kink anywhere), that
-    array itself is returned, the same bits without a copy.  That shortcut
-    screens magnitudes by the squared norm, which is at least
-    INFINITY_THRESHOLD ** 2 whenever one entry is at or past the threshold
-    (and NaN when one is NaN), so it never admits an entry the general path
-    would promote or reject; what it turns away takes the general path.
+    array itself is returned, the same bits without a copy, once it passes
+    the smooth-point screen of ``specular_with_norm``.
     """
     plus = np.asarray(plus, dtype=float)
-    if plus is minus and plus.ndim <= 1 and plus.dot(plus) < _SQUARED_THRESHOLD:
-        return plus
-    minus = np.asarray(minus, dtype=float)
+    if plus is minus and plus.ndim <= 1:
+        return specular_with_norm(plus, minus)[0]
+    return _assemble(plus, np.asarray(minus, dtype=float))
+
+
+def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
+    """(g, ||g||) for one-sided partials of at most one dimension; g as ``specular_from_one_sided_array``.
+
+    When both arguments are one array (no kink anywhere), g is that array,
+    the same bits without a copy, once it passes the smooth-point screen: its
+    squared norm must be below INFINITY_THRESHOLD ** 2.  That sum is at least
+    the threshold squared whenever one entry is at or past the threshold (and
+    NaN when one is NaN), so the screen never admits an entry the general
+    path would promote or reject; what it turns away takes the general path.
+    The screen's sum is g.g, so the norm is its square root.  Either way the
+    norm is sqrt(g.g), the bits of ``np.linalg.norm(g)``.
+    """
+    plus = np.asarray(plus, dtype=float)
+    if plus is minus and plus.ndim <= 1:
+        sq = plus.dot(plus)
+        if sq < _SQUARED_THRESHOLD:
+            return plus, math.sqrt(sq)
+    g = _assemble(plus, np.asarray(minus, dtype=float))
+    return g, math.sqrt(float(g.dot(g)))
+
+
+def _assemble(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """The general path of the assembly: a new array, afun_array on the kink entries only."""
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:
         out = np.array(plus)  # a writable copy, even when 0-d
         kink = out != minus

@@ -8,11 +8,12 @@ import pytest
 from specopt import objectives
 from specopt.objectives import (
     DiagonalLasso,
+    ElasticNetComponent,
     ElasticNetProblem,
     diagonal_lasso_minimizer,
     sum_abs,
 )
-from specopt.specular import specular_gradient
+from specopt.specular import frechet_residual, specular_gradient
 
 
 class TestElasticNetValue:
@@ -32,6 +33,28 @@ class TestElasticNetValue:
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.0, 0.0)
         with pytest.raises(ValueError):
             p.value([1.0, 2.0, 3.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_ridge_weight_at_a_huge_point(self):
+        # with lambda2 = 0 the ridge term is left out, not formed as 0 * inf = NaN
+        assert sum_abs(1).value([1e200]) == 1e200
+        assert frechet_residual(sum_abs(1), [1.0], [1.0], [1e200]) == 1.0
+        assert ElasticNetComponent(np.zeros(1), 0.0, 1.0, 0.0).value([1e200]) == 1e200
+
+    def test_zero_ridge_weight_keeps_the_bits(self):
+        # the data term is nonnegative, so leaving out the ridge term's +0.0 changes no value
+        rng = np.random.default_rng(3)
+        A, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
+        for x in (rng.standard_normal(4), np.zeros(4), np.array([0.0, -0.0, 1.5, -2.0])):
+            for l1 in (0.0, 0.3):
+                p = ElasticNetProblem(A, b, l1, 0.0)
+                r = A @ x - b
+                with_term = float(0.5 * (r @ r) / 6 + 0.5 * 0.0 * (x @ x)) + l1 * float(np.abs(x).sum())
+                assert np.float64(p.value(x)).tobytes() == np.float64(with_term).tobytes()
+                c = p.component(2)
+                rj = float(A[2] @ x) - b[2]
+                with_term = float(0.5 * rj * rj + 0.5 * 0.0 * (x @ x)) + l1 * float(np.abs(x).sum())
+                assert np.float64(c.value(x)).tobytes() == np.float64(with_term).tobytes()
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

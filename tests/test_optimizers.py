@@ -72,6 +72,36 @@ class TestSchedules:
         with pytest.raises(ValueError, match=message):
             StepSchedule(kind, parameter)
 
+class BadPartialsFrom:
+    """The half square t^2 / 2 (one sample term) whose partials are ``bad`` on both sides from call ``call`` on."""
+
+    dimension = m = 1
+
+    def __init__(self, bad, call):
+        self.bad, self.call, self.calls = bad, call, 0
+
+    def value(self, x):
+        return 0.5 * float(x[0]) ** 2
+
+    def one_sided_basis(self, x):
+        self.calls += 1
+        g = np.array(x, dtype=float) if self.calls < self.call else np.full(1, self.bad)
+        return g, g
+
+    def component_one_sided_basis(self, j, x):
+        return self.one_sided_basis(x)
+
+
+def _runs_from_one(switch_k):
+    """Runs of SPEG-s, GD, Adam and H-SPEG (switching at switch_k) from x0 = [1], by method name."""
+    x0 = np.array([1.0])
+    sched = StepSchedule.normalized_diminishing(4.0)
+    return {"SPEG-s": lambda p: speg_run(p, x0, sched, 10),
+            "GD": lambda p: gd_run(p, x0, 0.1, 10),
+            "Adam": lambda p: adam_run(p, x0, 0.01, 10),
+            "H-SPEG": lambda p: hspeg_run(p, x0, sched, switch_k=switch_k, max_iters=10, rng=rng_for(1))}
+
+
 class TestSpegRuns:
     def test_abs_hand_simulation(self):
         # from x0 = 2 with step lengths 4, 2: iterates 2, -2, 0, then the
@@ -145,40 +175,77 @@ class TestSpegRuns:
             assert list(rec.grad_norm) == [np.inf]
 
     def test_unassemblable_gradient_past_the_first_row(self):
-        # the half square t^2 / 2 (one sample term) whose partials turn +inf on
-        # both sides from the third call on, so each run stops at row 2
-        class DivergesOnThirdCall:
-            dimension = m = 1
-
-            def __init__(self):
-                self.calls = 0
-
-            def value(self, x):
-                return 0.5 * float(x[0]) ** 2
-
-            def one_sided_basis(self, x):
-                self.calls += 1
-                g = np.array(x, dtype=float) if self.calls < 3 else np.full(1, np.inf)
-                return g, g
-
-            def component_one_sided_basis(self, j, x):
-                return self.one_sided_basis(x)
-
-        x0 = np.array([1.0])
-        sched = StepSchedule.normalized_diminishing(4.0)
-        runs = {"SPEG-s": lambda p: speg_run(p, x0, sched, 10),
-                "GD": lambda p: gd_run(p, x0, 0.1, 10),
-                "Adam": lambda p: adam_run(p, x0, 0.01, 10),
-                "H-SPEG": lambda p: hspeg_run(p, x0, sched, switch_k=2, max_iters=10, rng=rng_for(1))}
-        for method, run in runs.items():
-            rec = run(DivergesOnThirdCall())
+        # partials +inf on both sides from the third call on, so each run stops at row 2
+        for method, run in _runs_from_one(switch_k=2).items():
+            rec = run(BadPartialsFrom(np.inf, 3))
             assert rec.status == "numerical_failure", method
             assert len(rec) == 3 and rec.h_trace.size == 2, method
             assert np.all(np.isfinite(rec.f_current)), method
             assert np.all(np.isfinite(rec.grad_norm[:2])) and rec.grad_norm[2] == np.inf, method
 
+    def test_nan_partials_end_the_run(self):
+        # partials NaN from the second call on while the value stays finite:
+        # the row records a NaN norm and the run stops
+        for method, run in _runs_from_one(switch_k=1).items():
+            rec = run(BadPartialsFrom(np.nan, 2))
+            assert rec.status == "numerical_failure", method
+            assert len(rec) == 2 and rec.h_trace.size == 1, method
+            assert np.all(np.isfinite(rec.f_current)), method
+            assert rec.grad_norm[0] == 1.0 and math.isnan(rec.grad_norm[1]), method
+
+    def test_nan_in_one_partial_of_a_kink(self):
+        # the general path meets the NaN; the run ends the same way
+        class NanMinus:
+            dimension = 2
+
+            def value(self, x):
+                return 0.0
+
+            def one_sided_basis(self, x):
+                return np.array([1.0, 2.0]), np.array([-1.0, np.nan])
+
+        rec = speg_run(NanMinus(), np.zeros(2), StepSchedule.normalized_diminishing(4.0), 10)
+        assert rec.status == "numerical_failure"
+        assert len(rec) == 1 and math.isnan(rec.grad_norm[0])
+
+    def test_malformed_partials_still_raise(self):
+        # only NaN partials end a run quietly; partials of the wrong shape are the objective's bug
+        class Mismatched:
+            dimension = 2
+
+            def value(self, x):
+                return 0.0
+
+            def one_sided_basis(self, x):
+                return np.ones(2), np.ones(3)
+
+        with pytest.raises(ValueError):
+            speg_run(Mismatched(), np.zeros(2), StepSchedule.normalized_diminishing(4.0), 10)
+
 
 class TestGdAdam:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"beta1": 1.0}, "beta1 must lie in"),
+        ({"beta1": -0.1}, "beta1 must lie in"),
+        ({"beta1": math.nan}, "beta1 must lie in"),
+        ({"beta2": 1.0}, "beta2 must lie in"),
+        ({"beta2": 2.0}, "beta2 must lie in"),
+        ({"beta2": math.nan}, "beta2 must lie in"),
+        ({"eps": 0.0}, "eps must be positive and finite"),
+        ({"eps": -1e-8}, "eps must be positive and finite"),
+        ({"eps": math.inf}, "eps must be positive and finite"),
+        ({"eps": math.nan}, "eps must be positive and finite"),
+    ])
+    def test_adam_validates_its_parameters(self, kwargs, message):
+        # beta1 = 1 once made the bias correction 0 / 0, and NaN iterates escaped as a traceback
+        lasso = DiagonalLasso(np.ones(3), np.ones(3), 0.1)
+        with pytest.raises(ValueError, match=message):
+            adam_run(lasso, np.zeros(3), 0.01, 20, **kwargs)
+
+    def test_adam_accepts_zero_betas(self):
+        rec = adam_run(DiagonalLasso(np.ones(3), np.ones(3), 0.1), np.zeros(3), 0.01, 20, beta1=0.0, beta2=0.0)
+        assert rec.status == "max_iters" and np.all(np.isfinite(rec.grad_norm))
+
     def test_gd_single_step(self):
         rec = gd_run(half_square_1d(), [1.0], 0.1, 1)
         assert rec.f_current[-1] == pytest.approx(0.5 * 0.9 ** 2, rel=1e-15)
@@ -384,7 +451,8 @@ class TestFusedLoopIdentity:
 
 def plain_loop(partials, x0, sched, max_iters, eta, direction=None):
     """The iteration engine written out with every row evaluated, in its order of operations:
-    partials(k, x), specular_from_one_sided_array, sqrt(g.g), the schedule's step h, x - h d.
+    partials(k, x), specular_from_one_sided_array, sqrt(g.g) of its own (an infinite norm
+    where the assembly rejects the partials), the schedule's step h, x - h d.
 
     Returns the record a run must produce and the first row whose step left x
     unchanged bit for bit (None when no step did).
@@ -395,8 +463,12 @@ def plain_loop(partials, x0, sched, max_iters, eta, direction=None):
     k = 0
     while True:
         f, (plus, minus) = partials(k, x)
-        g = specular.specular_from_one_sided_array(plus, minus)
-        gnorm = math.sqrt(float(g.dot(g)))
+        try:
+            g = specular.specular_from_one_sided_array(plus, minus)
+        except specular.HypothesisViolationError:
+            gnorm = math.inf
+        else:
+            gnorm = math.sqrt(float(g.dot(g)))
         if f < best:
             best, x_best = f, x
         f_current.append(f)
@@ -469,6 +541,112 @@ def assert_same_record(rec, ref):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert rec.status == ref.status
+
+
+def summed_value(p, x):
+    """p.value(x) with ndarray.sum as the reduction, and the ridge term formed even when lambda2 = 0."""
+    if isinstance(p, DiagonalLasso):
+        r = x - p.b
+        smooth = ((0.5 * p.d) * (r * r)).sum()
+    else:
+        r = p.A @ x - p.b
+        smooth = 0.5 * (r @ r) / p.m + 0.5 * p.lambda2 * (x @ x)
+    return float(smooth) + p.lambda1 * float(np.abs(x).sum())
+
+
+def _kinked(x0):
+    x0 = np.array(x0, dtype=float)
+    x0[::3] = 0.0
+    x0[1] = -0.0
+    return x0
+
+
+def _bit_cases():
+    """name -> (objective, start, scale of the step parameters c, h and lr)."""
+    rng = rng_for(28)
+    A, b, x0 = rng.standard_normal((6, 4)), rng.standard_normal(6), _kinked(rng.standard_normal(4))
+    lasso_d, lasso_b = rng.uniform(0.5, 2.0, 5), rng.uniform(-3.0, 3.0, 5)
+    lasso_x0 = _kinked(rng.standard_normal(5))
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    return {
+        "kinked": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1.0),
+        "kinked-lasso": (DiagonalLasso(lasso_d, lasso_b, 1.0), lasso_x0, 1.0),
+        "no-l1": (ElasticNetProblem(A, b, 0.0, 0.7), x0, 1.0),
+        "no-l1-lasso": (DiagonalLasso(lasso_d, lasso_b, 0.0), lasso_x0, 1.0),
+        # full partials near 7e11: each below the threshold, their squares summing past it
+        "screen-bound": (ElasticNetProblem(np.eye(4), 2.8e12 * signs, 0.0, 0.5), 0.1 * signs, 1.0),
+        # one step of length about 4e13 or 4e160: partials promoted to infinity, or a dot that overflows
+        "promoted-1e13": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e13),
+        "overflow-1e160": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e160),
+        # every coordinate at its kink, both partials promoted with opposite signs
+        "kink-1e13": (ElasticNetProblem(A, b, 1e13, 0.7), np.array([0.0, -0.0, 0.0, -0.0]), 1.0),
+    }
+
+
+_BIT_CASES = _bit_cases()
+_BIT_PARAMS = [(case, method) for case, (p, _, _) in _BIT_CASES.items()
+               for method in ("SPEG-s", "SPEG-g", "GD", "Adam", "S-SPEG", "H-SPEG")
+               if isinstance(p, ElasticNetProblem) or method not in ("S-SPEG", "H-SPEG")]
+
+
+class TestOneDotPerStep:
+    """The loop takes ||g|| from the smooth-point screen's dot and the objectives reduce with
+    np.add.reduce; every record equals, bit for bit, plain_loop's over values reduced with
+    ndarray.sum, which assembles with specular_from_one_sided_array and takes sqrt(g.g) itself."""
+
+    MAX_ITERS = 150
+
+    def _runs(self, method, p, x0, scale):
+        """The library's record of method and plain_loop's for it."""
+        n, eta, direction = self.MAX_ITERS, optimizers.DEFAULT_ETA, None
+        partials = lambda k, x: (summed_value(p, x), p.one_sided_basis(x))  # noqa: E731
+        if method in ("SPEG-s", "S-SPEG", "H-SPEG"):
+            sched = StepSchedule.normalized_diminishing(4.0 * scale)
+        elif method == "SPEG-g":
+            sched = StepSchedule.geometric(0.5)
+        else:
+            sched, eta = StepSchedule.constant(0.01 * scale), 0.0
+        if method in ("S-SPEG", "H-SPEG"):
+            switch_k, draws = (0, rng_for(29)) if method == "S-SPEG" else (10, rng_for(29))
+
+            def partials(k, x, full=partials):
+                if k < switch_k:
+                    return full(k, x)
+                return summed_value(p, x), p.component_one_sided_basis(int(draws.integers(p.m)), x)
+        if method == "Adam":
+            direction = adam_direction(p.dimension)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, _ = plain_loop(partials, x0, sched, n, eta, direction)
+        if method in ("SPEG-s", "SPEG-g"):
+            rec = speg_run(p, x0, sched, n)
+        elif method == "GD":
+            rec = gd_run(p, x0, 0.01 * scale, n)
+        elif method == "Adam":
+            rec = adam_run(p, x0, 0.01 * scale, n)
+        elif method == "S-SPEG":
+            rec = sspeg_run(p, x0, sched, n, rng=rng_for(29))
+        else:
+            rec = hspeg_run(p, x0, sched, switch_k=10, max_iters=n, rng=rng_for(29))
+        return rec, ref
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case,method", _BIT_PARAMS)
+    def test_record_matches_two_dot_loop(self, case, method):
+        rec, ref = self._runs(method, *_BIT_CASES[case])
+        assert_same_record(rec, ref)
+
+    def test_cases_reach_their_paths(self):
+        # each case takes the path its name says, on the SPEG-s run
+        runs = {case: self._runs("SPEG-s", *args)[0] for case, args in _BIT_CASES.items()}
+        screened = runs["screen-bound"].grad_norm
+        assert runs["screen-bound"].status == "max_iters" and np.all((screened >= 1e12) & (screened < math.inf))
+        for case in ("promoted-1e13", "overflow-1e160"):
+            rec = runs[case]
+            assert rec.status == "numerical_failure" and len(rec) == 2 and rec.grad_norm[1] == math.inf, case
+        assert runs["overflow-1e160"].f_current[1] == math.inf  # the value overflows as well
+        assert runs["kink-1e13"].status == "stationary" and list(runs["kink-1e13"].grad_norm) == [0.0]
+        for case in ("kinked", "kinked-lasso", "no-l1", "no-l1-lasso"):
+            assert runs[case].status == "max_iters" and np.all(np.isfinite(runs[case].grad_norm)), case
 
 
 class TestFixedPointReplay:
@@ -684,14 +862,22 @@ class TestSmoothFastPath:
             assert calls and calls[0] == 2  # both kinked coordinates of x0
 
     def test_norm_equals_numpy_bitwise(self):
+        # the loop's norm, from the smooth-point screen (one shared array) or
+        # after the general path (a copy), has the bits of np.linalg.norm
         rng = rng_for(24)
         vectors = [np.zeros(0), np.zeros(3), np.array([-0.0, 0.0]), np.array([3.0, 4.0]),
-                   np.array([1e200, 1e200]), np.array([1e-200, -3e-170]), np.array([np.inf, 1.0]),
-                   np.array([np.nan, 1.0])]
+                   np.array([1e-200, -3e-170]), np.full(4, 7e11)]  # the last fails the screen
         vectors += [rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8) for n in (1, 7, 100, 500)]
-        with np.errstate(over="ignore"):
-            for g in vectors:
-                assert np.float64(optimizers._norm(g)).tobytes() == np.linalg.norm(g).tobytes()
+        for g in vectors:
+            for minus in (g, g.copy()):
+                got, norm = specular.specular_with_norm(g, minus)
+                assert got.tobytes() == g.tobytes()
+                assert np.float64(norm).tobytes() == np.linalg.norm(g).tobytes()
+        with np.errstate(over="ignore"):  # the screen's sum overflows
+            for g in (np.array([1e200, 1e200]), np.array([np.inf, 1.0]), np.array([np.nan, 1.0])):
+                for minus in (g, g.copy()):
+                    with pytest.raises(ValueError):  # promoted to +inf on both sides, or NaN
+                        specular.specular_with_norm(g, minus)
 
 
 class TestHybridRuns:
