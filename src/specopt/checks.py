@@ -88,7 +88,7 @@ def subgradient_inequality(samples: int, rng: np.random.Generator) -> SuiteResul
         w = rng.standard_normal(p.n)
         g = specular_gradient(p, x)
         fw = p.value(w)
-        gap = p.value(x) + float(g @ (w - x)) - fw - 1e-8 * (1.0 + abs(fw))
+        gap = p.value(x) + float(g.dot(w - x)) - fw - 1e-8 * (1.0 + abs(fw))
         worst = max(worst, gap)
     passed = worst <= 0.0
     return SuiteResult("subgradient-inequality", passed, f"worst inequality slack {worst:.3e}")

@@ -57,16 +57,22 @@ def _load_config(path: str, seed=None, trials=None) -> ExperimentConfig:
 def format_trial_rows(trial: int, records: dict) -> dict[str, str]:
     """The trajectories.csv rows of one trial, as one text per method.
 
-    Rows are built column-wise from ``tolist()``: ``str`` of each int and
-    ``repr`` of each float, so every float is its shortest round-trip
-    decimal.  ``run_trials`` calls this in the worker that ran the trial.
+    Each float column is formatted once, by ``repr`` of its ``tolist()``, so
+    every float is ``float.__repr__``'s shortest round-trip decimal; the row
+    number k is the iteration.  ``run_trials`` calls this in the worker that
+    ran the trial.
     """
     texts = {}
     for method, rec in records.items():
-        row = f"{method},{trial},{{}},{{!r}},{{!r}},{{!r}}\n".format
-        texts[method] = "".join(map(row, rec.iters.tolist(), rec.f_current.tolist(),
-                                    rec.f_best.tolist(), rec.grad_norm.tolist()))
+        head = f"{method},{trial},"
+        columns = zip(_float_reprs(rec.f_current), _float_reprs(rec.f_best), _float_reprs(rec.grad_norm))
+        texts[method] = "".join([f"{head}{k},{fc},{fb},{gn}\n" for k, (fc, fb, gn) in enumerate(columns)])
     return texts
+
+
+def _float_reprs(column: np.ndarray) -> list[str]:
+    """repr of each entry of a float vector, from one repr of the whole list."""
+    return repr(column.tolist())[1:-1].split(", ") if column.size else []
 
 
 def _json_text(doc) -> str:

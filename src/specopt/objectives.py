@@ -19,6 +19,7 @@ g_i + lambda1 sign(x_i) if x_i != 0, else g_i + lambda1 and g_i - lambda1
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
@@ -56,7 +57,7 @@ def _ridge_value(data, x: np.ndarray, lambda2: float):
     """data + lambda2 ||x||^2 / 2; with lambda2 = 0 the term is left out, so a huge x gives no 0 * inf."""
     if lambda2 == 0.0:
         return data  # data >= 0, so adding the term's +0.0 would not change it
-    return data + 0.5 * lambda2 * (x @ x)
+    return data + 0.5 * lambda2 * float(x.dot(x))
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -71,6 +72,13 @@ def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[n
     plus[zero] = g[zero] + lambda1
     minus[zero] = g[zero] - lambda1
     return plus, minus
+
+
+def _check_weights(**weights: float) -> None:
+    """Regularization weights are nonnegative and finite: an infinite one makes inf * 0 = NaN values."""
+    for name, weight in weights.items():
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def _check_dim(x, n: int) -> np.ndarray:
@@ -96,13 +104,13 @@ class _Separable:
         ahead = v > 0.0
         back = ~ahead & (v != 0.0)  # NaN entries land here, so OneSidedPair rejects the pair
         va, vb = v[ahead], v[back]
-        return OneSidedPair(float(plus[ahead] @ va + minus[back] @ vb),
-                            float(minus[ahead] @ va + plus[back] @ vb))
+        return OneSidedPair(float(plus[ahead].dot(va) + minus[back].dot(vb)),
+                            float(minus[ahead].dot(va) + plus[back].dot(vb)))
 
 
 def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) -> np.ndarray:
     """Smooth gradient a (a.x - b_j) + lambda2 x of one sample term."""
-    return a * (float(a @ x) - bj) + lambda2 * x
+    return a * (float(a.dot(x)) - bj) + lambda2 * x
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,7 @@ class ElasticNetProblem(_Separable):
             raise ValueError("A must be a nonempty m x n matrix")
         if b.shape != (A.shape[0],):
             raise ValueError("b must have one entry per row of A")
-        if not (self.lambda1 >= 0.0 and self.lambda2 >= 0.0):
-            raise ValueError("regularization weights must be nonnegative")
+        _check_weights(lambda1=self.lambda1, lambda2=self.lambda2)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
@@ -144,24 +151,24 @@ class ElasticNetProblem(_Separable):
         return self.A.shape[1]
 
     def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value(_ridge_value(0.5 * (r @ r) / self.m, x, self.lambda2), x, self.lambda1)
+        return _l1_value(_ridge_value(0.5 * float(r.dot(r)) / self.m, x, self.lambda2), x, self.lambda1)
 
     def _smooth_gradient_at(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return self.A.T @ r / self.m + self.lambda2 * x
+        return self.A.T.dot(r) / self.m + self.lambda2 * x
 
     def value(self, x) -> float:
         x = _check_dim(x, self.n)
-        return self._value_at(x, self.A @ x - self.b)
+        return self._value_at(x, self.A.dot(x) - self.b)
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Gradient of the differentiable part: A^T (A x - b) / m + lambda2 x."""
         x = _check_dim(x, self.n)
-        return self._smooth_gradient_at(x, self.A @ x - self.b)
+        return self._smooth_gradient_at(x, self.A.dot(x) - self.b)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
-        return _l1_one_sided_basis(self._smooth_gradient_at(x, self.A @ x - self.b), x, self.lambda1)
+        return _l1_one_sided_basis(self._smooth_gradient_at(x, self.A.dot(x) - self.b), x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual A x - b.
@@ -170,7 +177,7 @@ class ElasticNetProblem(_Separable):
         both results are bit-identical to the separate calls.
         """
         x = _check_dim(x, self.n)
-        r = self.A @ x - self.b
+        r = self.A.dot(x) - self.b
         return self._value_at(x, r), _l1_one_sided_basis(self._smooth_gradient_at(x, r), x, self.lambda1)
 
     def component(self, j: int) -> "ElasticNetComponent":
@@ -203,13 +210,23 @@ class ElasticNetComponent(_Separable):
     lambda1: float
     lambda2: float
 
+    def __post_init__(self) -> None:
+        a = np.asarray(self.a, dtype=float, order="C")  # a row of A is no copy
+        if a.ndim != 1 or a.shape[0] < 1:
+            raise ValueError("a must be a nonempty vector")
+        _check_weights(lambda1=self.lambda1, lambda2=self.lambda2)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "bj", float(self.bj))
+        object.__setattr__(self, "lambda1", float(self.lambda1))
+        object.__setattr__(self, "lambda2", float(self.lambda2))
+
     @property
     def dimension(self) -> int:
         return self.a.shape[0]
 
     def value(self, x) -> float:
         x = _check_dim(x, self.dimension)
-        r = float(self.a @ x) - self.bj
+        r = float(self.a.dot(x)) - self.bj
         return _l1_value(_ridge_value(0.5 * r * r, x, self.lambda2), x, self.lambda1)
 
     def smooth_gradient(self, x) -> np.ndarray:
@@ -254,8 +271,7 @@ class DiagonalLasso(_Separable):
             raise ValueError("d and b must be vectors of equal length")
         if np.any(d <= 0.0):
             raise ValueError("curvatures d must be strictly positive")
-        if not self.lambda1 >= 0.0:
-            raise ValueError("lambda1 must be nonnegative")
+        _check_weights(lambda1=self.lambda1)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))

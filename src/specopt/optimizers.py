@@ -295,6 +295,14 @@ def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int
     return _stochastic_run(problem, x0, sched, max_iters, eta, rng, switch_k)
 
 
+def _check_point(x, shape: tuple[int, ...]) -> np.ndarray:
+    """x as a float array of a set's shape; 0-d bounds (a scalar center or box) fit any shape."""
+    x = np.asarray(x, dtype=float)
+    if shape and x.shape != shape:
+        raise ValueError(f"expected a point of shape {shape}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class EuclideanBall:
     """Closed ball {x : ||x - center|| <= radius}."""
@@ -310,6 +318,7 @@ class EuclideanBall:
         object.__setattr__(self, "radius", float(self.radius))
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        x = _check_point(x, self.center.shape)
         offset = x - self.center
         dist = vector_norm(offset)
         if dist <= self.radius:
@@ -333,15 +342,21 @@ class Box:
         object.__setattr__(self, "hi", hi)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        return np.clip(_check_point(x, self.lo.shape), self.lo, self.hi)
 
 
 def projected_speg_step(x, g, h: float, constraint) -> np.ndarray:
-    """One projected update: the orthogonal projection of x - h g onto the set."""
+    """One projected update: the orthogonal projection of x - h g onto the set.
+
+    g must have the shape of x, and x the shape of the set (any shape for a
+    set with 0-d bounds); otherwise this is a ValueError, not a broadcast.
+    """
     if not 0.0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
     x = np.asarray(x, dtype=float)
     g = np.asarray(g, dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(f"g has shape {g.shape}, x has shape {x.shape}")
     return constraint.project(x - h * g)
 
 

@@ -178,15 +178,17 @@ def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdE
     slopes s+ = (f(x+hv)-f(x))/(h|v|) and s- = (f(x)-f(x-hv))/(h|v|) and the
     finite-h value |v| tan(arctan(s+)/2 + arctan(s-)/2).  Accepts the first
     step at which two consecutive values agree to ``rtol``; otherwise returns
-    a non-converged estimate carrying the last two values.
+    a non-converged estimate carrying the last two values.  An empty
+    schedule, or a step that is not positive and finite, is a ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     vnorm = vector_norm(v)
     if vnorm == 0.0:
         raise ValueError("direction must be nonzero")
-    if h_schedule is None:
-        h_schedule = default_fd_schedule()
+    h_schedule = default_fd_schedule() if h_schedule is None else [float(h) for h in h_schedule]
+    if not h_schedule or not all(0.0 < h < math.inf for h in h_schedule):
+        raise ValueError("h_schedule must be a nonempty sequence of positive, finite steps")
     fx = float(f(x))
     estimates: list[float] = []
     for h in h_schedule:

@@ -209,7 +209,32 @@ def _record(f_current, grad_norm, status):
                      h_trace=np.zeros(0))
 
 
+def _format_rows(trial, records):
+    """format_trial_rows as it was written before it formatted whole columns: one str.format call a row."""
+    texts = {}
+    for method, rec in records.items():
+        row = f"{method},{trial},{{}},{{!r}},{{!r}},{{!r}}\n".format
+        texts[method] = "".join(map(row, rec.iters.tolist(), rec.f_current.tolist(),
+                                    rec.f_best.tolist(), rec.grad_norm.tolist()))
+    return texts
+
+
 class TestTrialRows:
+    def test_column_reprs_equal_row_format(self):
+        records = {
+            "SPEG-s": _record([1 / 3, -0.0, 5e-324, 1e16, -1e-300, 0.1], [1e16, 5e-324, -0.0, 1 / 3, 2.0, 1e22],
+                              "max_iters"),
+            "GD": _record([2.0, math.inf, math.nan], [1.0, math.nan, -math.inf], "numerical_failure"),
+            "Adam": _record([-math.inf], [0.0], "max_iters"),
+            "H-SPEG": _record([], [], "max_iters"),
+        }
+        got = cli.format_trial_rows(7, records)
+        assert got == _format_rows(7, records)
+        assert got["H-SPEG"] == ""
+        assert got["GD"] == "GD,7,0,2.0,2.0,1.0\nGD,7,1,inf,2.0,nan\nGD,7,2,nan,nan,-inf\n"
+        assert "SPEG-s,7,2,5e-324,-0.0,-0.0\n" in got["SPEG-s"]
+        assert "SPEG-s,7,3,1e+16,-0.0,0.3333333333333333\n" in got["SPEG-s"]
+
     def test_equals_per_element_loop_bitwise(self, monkeypatch):
         monkeypatch.setenv("SPECOPT_THREADS", "1")
         cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "lambda2": 1e6, "methods": ["GD", "SPEG-s"]})

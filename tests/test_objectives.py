@@ -63,6 +63,21 @@ class TestElasticNetValue:
             ElasticNetProblem(np.eye(2), np.zeros(2), -0.1, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda w: ElasticNetProblem(np.ones((1, 2)), np.ones(1), w, 1.0),
+    lambda w: ElasticNetProblem(np.ones((1, 2)), np.ones(1), 1.0, w),
+    lambda w: ElasticNetComponent(np.ones(2), 1.0, w, 1.0),
+    lambda w: ElasticNetComponent(np.ones(2), 1.0, 1.0, w),
+    lambda w: DiagonalLasso([1.0, 1.0], [0.0, 0.0], w),
+], ids=["net-lambda1", "net-lambda2", "component-lambda1", "component-lambda2", "lasso-lambda1"])
+@pytest.mark.parametrize("weight", [math.inf, -1.0, math.nan])
+def test_weights_must_be_nonnegative_and_finite(make, weight):
+    # an infinite weight used to be accepted, and value([0.0, 0.0]) was inf * 0 = NaN
+    with pytest.raises(ValueError, match="must be nonnegative and finite"):
+        make(weight)
+    assert math.isfinite(make(1e300).value([0.0, 0.0]))
+
+
 class TestElasticNetOracle:
     def test_smooth_when_lasso_off(self):
         rng = np.random.default_rng(0)
@@ -192,6 +207,23 @@ class TestComponents:
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message
+
+    def test_component_validates_its_row(self):
+        # a list used to fail at value() with AttributeError; a negative weight gave a value
+        c = ElasticNetComponent([1.0, 2.0], 0.0, 1.0, 1.0)
+        assert isinstance(c.a, np.ndarray) and c.a.dtype == float
+        assert c.value([1.0, 2.0]) == 0.5 * 25.0 + 0.5 * 5.0 + 3.0
+        for a in (np.zeros(0), np.ones((2, 2)), 1.0):
+            with pytest.raises(ValueError, match="nonempty vector"):
+                ElasticNetComponent(a, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="lambda1"):
+            ElasticNetComponent(np.ones(2), 0.0, -1.0, 1.0)
+
+    def test_component_row_is_not_copied(self):
+        p = ElasticNetProblem(np.arange(6.0).reshape(3, 2), np.zeros(3), 0.1, 0.2)
+        assert np.shares_memory(p.component(1).a, p.A)
+        strided = ElasticNetComponent(p.A[:, 0], 0.0, 0.1, 0.2)  # a column is stored contiguous
+        assert strided.a.flags.c_contiguous and list(strided.a) == [0.0, 2.0, 4.0]
 
     def test_row_partials_equal_component_bitwise(self):
         rng = np.random.default_rng(9)

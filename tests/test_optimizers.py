@@ -649,6 +649,118 @@ class TestOneDotPerStep:
             assert runs[case].status == "max_iters" and np.all(np.isfinite(runs[case].grad_norm)), case
 
 
+class MatmulElasticNet(ElasticNetProblem):
+    """The elastic-net oracle with every product written ``@`` and the value summed in np.float64.
+
+    The reference for the library's oracle, whose products are ``ndarray.dot``
+    calls and whose value is summed in Python floats.  The two agree bit for
+    bit except in two cases, neither of which reaches a run's record: on a
+    view with negative strides ``@`` sums in numpy's own loop order, while
+    ``.dot`` gives the bits of the point's contiguous copy; and a product of
+    one term keeps the sign of a zero result under ``.dot``, where ``@``
+    returns 0.0.
+    """
+
+    def _value_at(self, x, r):
+        smooth = 0.5 * (r @ r) / self.m
+        if self.lambda2 != 0.0:
+            smooth = smooth + 0.5 * self.lambda2 * (x @ x)
+        return float(smooth) + self.lambda1 * float(np.add.reduce(np.abs(x)))
+
+    def _smooth_gradient_at(self, x, r):
+        return self.A.T @ r / self.m + self.lambda2 * x
+
+    def value(self, x):
+        x = objectives._check_dim(x, self.n)
+        return self._value_at(x, self.A @ x - self.b)
+
+    def one_sided_basis(self, x):
+        return self.value_and_one_sided_basis(x)[1]
+
+    def value_and_one_sided_basis(self, x):
+        x = objectives._check_dim(x, self.n)
+        r = self.A @ x - self.b
+        return self._value_at(x, r), objectives._l1_one_sided_basis(self._smooth_gradient_at(x, r), x, self.lambda1)
+
+    def component_one_sided_basis(self, j, x):
+        x = objectives._check_dim(x, self.n)
+        a = self.A[j]
+        g = a * (float(a @ x) - float(self.b[j])) + self.lambda2 * x
+        return objectives._l1_one_sided_basis(g, x, self.lambda1)
+
+
+def _dot_cases():
+    """name -> (A, b, lambda1, lambda2, start); the starts hold 0.0 and -0.0."""
+    rng = rng_for(47)
+    tall_A, tall_b = rng.standard_normal((9, 4)), rng.standard_normal(9)
+    wide_A, wide_b = rng.standard_normal((3, 7)), rng.standard_normal(3)
+    tall_x0, wide_x0 = _kinked(rng.standard_normal(4)), _kinked(rng.standard_normal(7))
+    strided = rng.standard_normal(14)
+    strided[[0, 6]] = 0.0, -0.0
+    return {
+        "m>n": (tall_A, tall_b, 0.3, 0.7, tall_x0),
+        "m<n": (wide_A, wide_b, 0.3, 0.7, wide_x0),
+        "m>n-no-ridge": (tall_A, tall_b, 0.3, 0.0, tall_x0),
+        "m<n-no-ridge": (wide_A, wide_b, 0.05, 0.0, wide_x0),
+        "no-l1": (tall_A, tall_b, 0.0, 0.7, tall_x0),
+        "strided-start": (wide_A, wide_b, 0.3, 0.7, strided[::2]),
+        "n=1": (tall_A[:, :1], tall_b, 0.3, 0.7, np.array([-0.0])),
+    }
+
+
+_DOT_CASES = _dot_cases()
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestDotProducts:
+    """The oracle's products are ndarray.dot calls and its value is summed in Python floats; every
+    record, and every oracle result, equals the ``@``/np.float64 reference bit for bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", list(harness.METHOD_NAMES))
+    @pytest.mark.parametrize("case", list(_DOT_CASES))
+    def test_record_matches_matmul_oracle(self, case, method):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
+        cfg = harness.ExperimentConfig.from_dict({
+            "m": A.shape[0], "n": A.shape[1], "lambda1": lambda1, "lambda2": lambda2,
+            "methods": [method], "seed": 0, "max_iters": 300, "switch_k": 20})
+        records = [harness.run_method(method, cls(A, b, lambda1, lambda2), x0, cfg, rng_for(53))
+                   for cls in (ElasticNetProblem, MatmulElasticNet)]
+        assert_same_record(*records)
+
+    @pytest.mark.parametrize("case", list(_DOT_CASES))
+    def test_oracle_matches_matmul_oracle(self, case):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
+        p, ref = ElasticNetProblem(A, b, lambda1, lambda2), MatmulElasticNet(A, b, lambda1, lambda2)
+        v = rng_for(59).standard_normal(p.n)
+        v[-1] = 0.0
+        for x in (x0, np.repeat(x0, 3)[1::3], 1e150 * x0):
+            assert _same_bits(p.value(x), ref.value(x))
+            got, want = p.value_and_one_sided_basis(x), ref.value_and_one_sided_basis(x)
+            assert _same_bits(got[0], want[0]) and all(map(_same_bits, got[1], want[1]))
+            plus, minus = want[1]
+            ahead, back = v > 0.0, v < 0.0
+            pair = p.one_sided(x, v)
+            assert _same_bits(pair.plus, float(plus[ahead] @ v[ahead] + minus[back] @ v[back]))
+            assert _same_bits(pair.minus, float(minus[ahead] @ v[ahead] + plus[back] @ v[back]))
+            for j in range(p.m):
+                assert all(map(_same_bits, p.component_one_sided_basis(j, x), ref.component_one_sided_basis(j, x)))
+                rj = float(A[j] @ x) - float(b[j])
+                smooth = 0.5 * rj * rj + (0.5 * lambda2 * (x @ x) if lambda2 else 0.0)
+                assert _same_bits(p.component(j).value(x), float(smooth) + lambda1 * float(np.abs(x).sum()))
+
+    def test_reversed_view_has_the_bits_of_its_copy(self):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES["m<n"]
+        p = ElasticNetProblem(A, b, lambda1, lambda2)
+        x = rng_for(61).standard_normal(3 * p.n)[::-3]
+        assert _same_bits(p.value(x), p.value(x.copy()))
+        assert all(map(_same_bits, p.one_sided_basis(x), p.one_sided_basis(x.copy())))
+        assert all(map(_same_bits, p.component_one_sided_basis(1, x), p.component_one_sided_basis(1, x.copy())))
+
+
 class TestFixedPointReplay:
     """Runs whose rows depend on x alone stop evaluating at a fixed point; the record is the plain loop's.
 
@@ -944,6 +1056,28 @@ class TestProjection:
     def test_step_size_must_be_positive_and_finite(self, h):
         with pytest.raises(ValueError):
             projected_speg_step(np.ones(3), np.ones(3), h, Box(-1.0, 1.0))
+
+    @pytest.mark.parametrize("constraint", [Box(np.zeros(2), np.ones(2)), EuclideanBall(np.zeros(2), 1.0)],
+                             ids=["box", "ball"])
+    def test_point_of_the_wrong_shape_rejected(self, constraint):
+        # a 1-vector used to broadcast against the 2-d set
+        for x in (np.array([5.0]), np.ones(3), np.ones((2, 2)), 5.0):
+            with pytest.raises(ValueError, match="shape"):
+                constraint.project(x)
+        with pytest.raises(ValueError, match="shape"):
+            projected_speg_step(np.ones(1), np.ones(1), 0.5, constraint)
+        assert constraint.project([0.25, 0.5]).shape == (2,)
+
+    def test_gradient_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            projected_speg_step(np.array([3.0, 1.0]), np.array([1.0]), 0.5, Box(-1.0, 1.0))
+        with pytest.raises(ValueError, match="shape"):
+            projected_speg_step(np.array([3.0, 1.0]), 1.0, 0.5, Box(-1.0, 1.0))
+
+    def test_scalar_bounds_fit_any_point(self):
+        assert np.array_equal(projected_speg_step([3.0, 0.5, -2.0], [0.0, 1.0, 0.0], 0.5, Box(-1.0, 1.0)),
+                              [1.0, 0.0, -1.0])
+        assert np.allclose(EuclideanBall(0.0, 1.0).project([3.0, 4.0]), [0.6, 0.8], rtol=1e-15)
 
     def test_malformed_sets(self):
         with pytest.raises(ValueError):

@@ -220,6 +220,12 @@ class TestFdEstimator:
         assert est.converged
         assert est.value == pytest.approx(3.0 * scale, rel=1e-12)
 
+    @pytest.mark.parametrize("schedule", [[], [0.0], [1e-3, -1e-4], [1e-3, math.inf], [math.nan]])
+    def test_bad_step_schedule_rejected(self, schedule):
+        # an empty schedule used to end in IndexError, a zero step in ZeroDivisionError
+        with pytest.raises(ValueError, match="h_schedule"):
+            fd_specular_directional(lambda z: abs(float(z[0])), [0.0], [1.0], h_schedule=schedule)
+
     def test_nonconvergent_schedule_reports_failure(self):
         # kink much closer than any step: the backward slope keeps moving
         est = fd_specular_directional(lambda z: abs(float(z[0])), [1e-12], [1.0])
