@@ -126,7 +126,7 @@ def quasi_mvt(samples: int, rng: np.random.Generator) -> SuiteResult:
                 bb = a + 1e-2
             ts = np.linspace(a, bb, grid_points + 2)[1:-1]
             right, left = obj.lateral_slopes(ts)
-            ds = specular.specular_from_one_sided_array(right, left)
+            ds = specular.specular_with_norm(right, left)[0]
             secant = obj.value([bb]) - obj.value([a])
             slack = 1e-3 * (bb - a)
             lo = ds.min() * (bb - a)

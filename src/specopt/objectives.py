@@ -249,7 +249,7 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):  # NaN fails the comparison
         raise ValueError("curvatures d must be strictly positive")
     if not lambda1 >= 0.0:
         raise ValueError("lambda1 must be nonnegative")
@@ -269,8 +269,10 @@ class DiagonalLasso(_Separable):
         b = np.asarray(self.b, dtype=float)
         if d.ndim != 1 or d.shape != b.shape:
             raise ValueError("d and b must be vectors of equal length")
-        if np.any(d <= 0.0):
-            raise ValueError("curvatures d must be strictly positive")
+        if not np.all((d > 0.0) & (d < math.inf)):  # NaN fails both comparisons
+            raise ValueError("curvatures d must be strictly positive and finite")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
         _check_weights(lambda1=self.lambda1)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)

@@ -312,6 +312,8 @@ class EuclideanBall:
 
     def __post_init__(self) -> None:
         center = np.asarray(self.center, dtype=float)
+        if not np.isfinite(center).all():
+            raise ValueError("center must be finite")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", center)
@@ -328,7 +330,7 @@ class EuclideanBall:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box {x : lo <= x <= hi} (coordinatewise)."""
+    """Axis-aligned box {x : lo <= x <= hi} (coordinatewise); a bound may be infinite, not NaN."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -336,7 +338,7 @@ class Box:
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails the comparison
             raise ValueError("box bounds must satisfy lo <= hi coordinatewise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

@@ -54,32 +54,19 @@ def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
     return vnorm * afun(plus, minus)
 
 
-def specular_from_one_sided_array(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """Vectorized assembly for arrays of one-sided values along unit directions.
-
-    Where the two one-sided values agree the derivative is the classical one,
-    plus itself; afun_array runs on the kink entries only.  When both
-    arguments are one array of at most one dimension (no kink anywhere), that
-    array itself is returned, the same bits without a copy, once it passes
-    the smooth-point screen of ``specular_with_norm``.
-    """
-    plus = np.asarray(plus, dtype=float)
-    if plus is minus and plus.ndim <= 1:
-        return specular_with_norm(plus, minus)[0]
-    return _assemble(plus, np.asarray(minus, dtype=float))
-
-
 def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
-    """(g, ||g||) for one-sided partials of at most one dimension; g as ``specular_from_one_sided_array``.
+    """(g, ||g||) for one-sided partials of at most one dimension, along unit directions.
 
-    When both arguments are one array (no kink anywhere), g is that array,
-    the same bits without a copy, once it passes the smooth-point screen: its
-    squared norm must be below INFINITY_THRESHOLD ** 2.  That sum is at least
-    the threshold squared whenever one entry is at or past the threshold (and
-    NaN when one is NaN), so the screen never admits an entry the general
-    path would promote or reject; what it turns away takes the general path.
-    The screen's sum is g.g, so the norm is its square root.  Either way the
-    norm is sqrt(g.g), the bits of ``np.linalg.norm(g)``.
+    Where the two partials agree g is the classical derivative, plus itself;
+    afun_array runs on the kink entries only.  When both arguments are one
+    array (no kink anywhere), g is that array, the same bits without a copy,
+    once it passes the smooth-point screen: its squared norm must be below
+    INFINITY_THRESHOLD ** 2.  That sum is at least the threshold squared
+    whenever one entry is at or past the threshold (and NaN when one is NaN),
+    so the screen never admits an entry the general path would promote or
+    reject; what it turns away takes the general path.  The screen's sum is
+    g.g, so the norm is its square root.  Either way the norm is sqrt(g.g),
+    the bits of ``np.linalg.norm(g)``.
     """
     plus = np.asarray(plus, dtype=float)
     if plus is minus and plus.ndim <= 1:
@@ -136,7 +123,7 @@ def specular_gradient(obj, x) -> np.ndarray:
     plus, minus = obj.one_sided_basis(np.asarray(x, dtype=float))
     # the smooth-point screen may overflow on huge partials; the general path takes those
     with np.errstate(over="ignore"):
-        return specular_from_one_sided_array(plus, minus)
+        return specular_with_norm(plus, minus)[0]
 
 
 def specular_jacobian(components, x) -> np.ndarray:
@@ -179,7 +166,8 @@ def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdE
     finite-h value |v| tan(arctan(s+)/2 + arctan(s-)/2).  Accepts the first
     step at which two consecutive values agree to ``rtol``; otherwise returns
     a non-converged estimate carrying the last two values.  An empty
-    schedule, or a step that is not positive and finite, is a ValueError.
+    schedule, a step that is not positive and finite, or one that is not
+    smaller than the step before it, is a ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -189,6 +177,8 @@ def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdE
     h_schedule = default_fd_schedule() if h_schedule is None else [float(h) for h in h_schedule]
     if not h_schedule or not all(0.0 < h < math.inf for h in h_schedule):
         raise ValueError("h_schedule must be a nonempty sequence of positive, finite steps")
+    if not all(h < before for before, h in zip(h_schedule, h_schedule[1:])):
+        raise ValueError("h_schedule must be strictly decreasing")
     fx = float(f(x))
     estimates: list[float] = []
     for h in h_schedule:

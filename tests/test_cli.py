@@ -190,16 +190,17 @@ class TestHugeFiniteInputs:
         _assert_complete_bundle(out)
 
 
+def _reference_rows(method, trial, rec):
+    """One record's CSV rows as the old per-element loop wrote them: the reference for format_trial_rows."""
+    return "".join(f"{method},{trial},{int(rec.iters[i])},"
+                   f"{float(rec.f_current[i])!r},{float(rec.f_best[i])!r},{float(rec.grad_norm[i])!r}\n"
+                   for i in range(len(rec)))
+
+
 def _per_element_rows(records):
-    """The CSV body as the old per-element loop wrote it: the reference for format_trial_rows."""
-    lines = []
-    for method in sorted(records):
-        for trial, rec in enumerate(records[method]):
-            for i in range(len(rec)):
-                lines.append(
-                    f"{method},{trial},{int(rec.iters[i])},"
-                    f"{float(rec.f_current[i])!r},{float(rec.f_best[i])!r},{float(rec.grad_norm[i])!r}")
-    return "".join(line + "\n" for line in lines)
+    """The CSV body of method -> records per trial, methods sorted, from _reference_rows."""
+    return "".join(_reference_rows(method, trial, rec)
+                   for method in sorted(records) for trial, rec in enumerate(records[method]))
 
 
 def _record(f_current, grad_norm, status):
@@ -207,16 +208,6 @@ def _record(f_current, grad_norm, status):
     return RunRecord(f_current=f_current, f_best=np.minimum.accumulate(f_current),
                      grad_norm=np.asarray(grad_norm, dtype=float), status=status, x_best=np.zeros(1),
                      h_trace=np.zeros(0))
-
-
-def _format_rows(trial, records):
-    """format_trial_rows as it was written before it formatted whole columns: one str.format call a row."""
-    texts = {}
-    for method, rec in records.items():
-        row = f"{method},{trial},{{}},{{!r}},{{!r}},{{!r}}\n".format
-        texts[method] = "".join(map(row, rec.iters.tolist(), rec.f_current.tolist(),
-                                    rec.f_best.tolist(), rec.grad_norm.tolist()))
-    return texts
 
 
 class TestTrialRows:
@@ -229,7 +220,7 @@ class TestTrialRows:
             "H-SPEG": _record([], [], "max_iters"),
         }
         got = cli.format_trial_rows(7, records)
-        assert got == _format_rows(7, records)
+        assert got == {method: _reference_rows(method, 7, rec) for method, rec in records.items()}
         assert got["H-SPEG"] == ""
         assert got["GD"] == "GD,7,0,2.0,2.0,1.0\nGD,7,1,inf,2.0,nan\nGD,7,2,nan,nan,-inf\n"
         assert "SPEG-s,7,2,5e-324,-0.0,-0.0\n" in got["SPEG-s"]
@@ -249,8 +240,7 @@ class TestTrialRows:
                      for t in range(2)]
         for trial, texts in enumerate(per_trial):
             for method, text in texts.items():
-                assert text == _per_element_rows({method: [records[method][trial]]}).replace(
-                    f"{method},0,", f"{method},{trial},")
+                assert text == _reference_rows(method, trial, records[method][trial])
         body = "".join(rows[m] for m in sorted(records) for rows in per_trial)
         assert body == _per_element_rows(records)
         assert "Adam,1,1,inf,2.0,nan\n" in body and "Adam,0,1,-0.0,-0.0,5e-324\n" in body
@@ -710,8 +700,8 @@ class TestCheckCommand:
          lambda f: lambda pair, vnorm: f(pair, vnorm) + 1e-6),
         (checks.estimator_consistency, checks, "fd_specular_directional",
          lambda f: lambda *a: replace(f(*a), value=f(*a).value + 1e-4)),
-        (checks.quasi_mvt, specopt.specular, "specular_from_one_sided_array",
-         lambda f: lambda right, left: np.zeros_like(f(right, left))),
+        (checks.quasi_mvt, specopt.specular, "specular_with_norm",
+         lambda f: lambda right, left: (np.zeros_like(f(right, left)[0]), 0.0)),
     ], ids=["scalar", "subgradient", "ordering", "estimator", "quasi-mvt"])
     def test_corruption_fails_the_gate_suites(self, monkeypatch, suite, owner, attr, corrupt):
         # mutation check for the suites behind acceptance criteria 1-4 and 10

@@ -376,6 +376,18 @@ class TestDiagonalLasso:
         with pytest.raises(ValueError):
             diagonal_lasso_minimizer([0.0], [1.0], 1.0)
 
+    @pytest.mark.parametrize("d,b,name", [
+        ([math.nan, 1.0], [1.0, 1.0], "curvatures"), ([math.inf, 1.0], [1.0, 1.0], "curvatures"),
+        ([1.0, 1.0], [math.nan, 1.0], "b"), ([1.0, 1.0], [-math.inf, 1.0], "b"),
+    ])
+    def test_non_finite_data_rejected(self, d, b, name):
+        # a NaN curvature passed the d <= 0 check and gave a NaN value and minimizer
+        with pytest.raises(ValueError, match=name):
+            DiagonalLasso(d, b, 0.5)
+        if math.isnan(d[0]):
+            with pytest.raises(ValueError, match=name):
+                diagonal_lasso_minimizer(d, b, 0.5)
+
     @pytest.mark.parametrize("lambda1", [-1.0, math.nan])
     def test_invalid_lambda1(self, lambda1):
         with pytest.raises(ValueError, match="lambda1"):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from specopt import checks, harness, objectives, optimizers, specular
-from specopt.objectives import DiagonalLasso, ElasticNetProblem, Objective
+from specopt import checks, objectives, optimizers, specular
+from specopt.objectives import DiagonalLasso, ElasticNetProblem
 from specopt.optimizers import (
     Box,
     EuclideanBall,
@@ -19,8 +19,7 @@ from specopt.optimizers import (
     speg_run,
     sspeg_run,
 )
-from specopt.scalar import afun
-from specopt.specular import specular_gradient, specular_jacobian
+from specopt.specular import specular_gradient
 
 
 def half_square_1d():
@@ -336,612 +335,6 @@ class TestStochasticRuns:
         assert np.array_equal(a.x_best, b.x_best)
 
 
-def reference_run(problem, x0, max_iters, eta, gradient, step):
-    """The plain loop: value() and the gradient from specular_gradient as separate calls.
-
-    gradient(k, x) -> g; step(k, g, gnorm) -> the displacement subtracted from x.
-    """
-    x = np.array(x0, dtype=float)
-    f_current, f_best, grad_norm = [], [], []
-    best = np.inf
-    for k in range(max_iters + 1):
-        g = gradient(k, x)
-        gnorm = float(np.linalg.norm(g))
-        f = problem.value(x)
-        best = min(best, f)
-        f_current.append(f)
-        f_best.append(best)
-        grad_norm.append(gnorm)
-        if gnorm <= eta:
-            break
-        x = x - step(k, g, gnorm)
-    return f_current, f_best, grad_norm
-
-
-def adam_step(n, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """reference_run's step for Adam with bias correction, keeping its own moments."""
-    state = {"m": np.zeros(n), "v": np.zeros(n)}
-
-    def step(k, g, gnorm):
-        state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-        state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-        m_hat = state["m"] / (1.0 - beta1 ** (k + 1))
-        v_hat = state["v"] / (1.0 - beta2 ** (k + 1))
-        return lr * (m_hat / (np.sqrt(v_hat) + eps))
-    return step
-
-
-def _lasso_start(lambda1):
-    rng = rng_for(25)
-    lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 9), rng.uniform(-3.0, 3.0, 9), lambda1)
-    x0 = rng.standard_normal(9)
-    x0[::3] = 0.0
-    x0[4] = -0.0
-    return lasso, x0
-
-
-class TestFusedLoopIdentity:
-    """Every method's record equals, bit for bit, the plain loop over the separate oracle calls."""
-
-    MAX_ITERS = 60
-    SCHED = StepSchedule.normalized_diminishing(4.0)
-
-    def _problem(self):
-        rng = rng_for(21)
-        p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
-        x0 = rng.standard_normal(9)
-        x0[::3] = 0.0  # start on kinks, where the assembly takes the afun branch
-        return p, x0
-
-    def _problems(self):
-        """The elastic net of the table runs, and the diagonal lasso the check suites run,
-        the latter also with lambda1 = 0, where no iterate is ever at a kink."""
-        return self._problem(), _lasso_start(1.0), _lasso_start(0.0)
-
-    def _assert_same(self, rec, ref):
-        assert np.array_equal(rec.f_current, ref[0])
-        assert np.array_equal(rec.f_best, ref[1])
-        assert np.array_equal(rec.grad_norm, ref[2])
-
-    def _scheduled(self, k, g, gnorm, sched=SCHED):
-        return sched.step_size(k, gnorm) * g
-
-    def _mixed(self, p, switch_k, rng):
-        def gradient(k, x):
-            if k < switch_k:
-                return specular_gradient(p, x)
-            return specular_gradient(p.component(int(rng.integers(p.m))), x)
-        return gradient
-
-    def test_speg(self):
-        for p, x0 in self._problems():
-            for sched in (self.SCHED, StepSchedule.geometric(0.9)):  # SPEG-s, SPEG-g
-                ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, lambda k, x: specular_gradient(p, x),
-                                    lambda k, g, gnorm: self._scheduled(k, g, gnorm, sched))
-                self._assert_same(speg_run(p, x0, sched, self.MAX_ITERS), ref)
-
-    def test_sspeg(self):
-        p, x0 = self._problem()
-        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, self._mixed(p, 0, rng_for(3)), self._scheduled)
-        self._assert_same(sspeg_run(p, x0, self.SCHED, self.MAX_ITERS, rng=rng_for(3)), ref)
-
-    @pytest.mark.parametrize("switch_k", [0, 1, 10, 60, 61, 500])
-    def test_hspeg(self, switch_k):
-        p, x0 = self._problem()
-        if switch_k >= self.MAX_ITERS:  # the full method throughout, the last row included
-            gradient = self._mixed(p, self.MAX_ITERS + 1, None)
-        else:
-            gradient = self._mixed(p, switch_k, rng_for(4))
-        ref = reference_run(p, x0, self.MAX_ITERS, 1e-12, gradient, self._scheduled)
-        rec = hspeg_run(p, x0, self.SCHED, switch_k=switch_k, max_iters=self.MAX_ITERS, rng=rng_for(4))
-        self._assert_same(rec, ref)
-
-    def test_gd(self):
-        for p, x0 in self._problems():
-            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
-                                lambda k, g, gnorm: 0.01 * g)
-            self._assert_same(gd_run(p, x0, 0.01, self.MAX_ITERS), ref)
-
-    def test_adam(self):
-        for p, x0 in self._problems():
-            ref = reference_run(p, x0, self.MAX_ITERS, 0.0, lambda k, x: specular_gradient(p, x),
-                                adam_step(x0.size, 0.01))
-            self._assert_same(adam_run(p, x0, 0.01, self.MAX_ITERS), ref)
-
-
-def plain_loop(partials, x0, sched, max_iters, eta, direction=None):
-    """The iteration engine written out with every row evaluated, in its order of operations:
-    partials(k, x), specular_from_one_sided_array, sqrt(g.g) of its own (an infinite norm
-    where the assembly rejects the partials), the schedule's step h, x - h d.
-
-    Returns the record a run must produce and the first row whose step left x
-    unchanged bit for bit (None when no step did).
-    """
-    x = np.array(x0, dtype=float)
-    f_current, f_best, grad_norm, h_trace = [], [], [], []
-    best, x_best, stall = math.inf, x, None
-    k = 0
-    while True:
-        f, (plus, minus) = partials(k, x)
-        try:
-            g = specular.specular_from_one_sided_array(plus, minus)
-        except specular.HypothesisViolationError:
-            gnorm = math.inf
-        else:
-            gnorm = math.sqrt(float(g.dot(g)))
-        if f < best:
-            best, x_best = f, x
-        f_current.append(f)
-        f_best.append(best)
-        grad_norm.append(gnorm)
-        if not (math.isfinite(f) and math.isfinite(gnorm)):
-            status = "numerical_failure"
-            break
-        if gnorm <= eta:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            status = "max_iters"
-            break
-        h = sched.step_size(k, gnorm)
-        x_next = x - h * (g if direction is None else direction(k, g))
-        if stall is None and x_next.tobytes() == x.tobytes():
-            stall = k
-        h_trace.append(h)
-        x = x_next
-        k += 1
-    record = optimizers.RunRecord(np.asarray(f_current), np.asarray(f_best), np.asarray(grad_norm),
-                                  status, x_best, np.asarray(h_trace))
-    return record, stall
-
-
-def fused_partials(p):
-    return lambda k, x: p.value_and_one_sided_basis(x)
-
-
-def sampled_partials(p, switch_k, rng):
-    """The full partials before row switch_k, one drawn component's after, as S-SPEG and H-SPEG take them."""
-    def partials(k, x):
-        if k < switch_k:
-            return p.value_and_one_sided_basis(x)
-        return p.value(x), p.component(int(rng.integers(p.m))).one_sided_basis(x)
-    return partials
-
-
-def adam_direction(n):
-    step = adam_step(n, 1.0)  # lr 1 multiplies exactly
-    return lambda k, g: step(k, g, None)
-
-
-def _net_start():
-    rng = rng_for(26)
-    p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
-    x0 = rng.standard_normal(9)
-    x0[::3] = 0.0
-    x0[4] = -0.0
-    return p, x0
-
-
-@pytest.fixture
-def oracle_rows(monkeypatch):
-    """Counts the rows runs evaluate: each row calls the fused hook or value exactly once."""
-    calls = [0]
-    for cls in (ElasticNetProblem, DiagonalLasso):
-        for name in ("value_and_one_sided_basis", "value"):
-            def counted(self, x, method=getattr(cls, name)):
-                calls[0] += 1
-                return method(self, x)
-            monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
-def assert_same_record(rec, ref):
-    for name in ("f_current", "f_best", "grad_norm", "h_trace", "x_best"):
-        got, want = getattr(rec, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
-    assert rec.status == ref.status
-
-
-def summed_value(p, x):
-    """p.value(x) with ndarray.sum as the reduction, and the ridge term formed even when lambda2 = 0."""
-    if isinstance(p, DiagonalLasso):
-        r = x - p.b
-        smooth = ((0.5 * p.d) * (r * r)).sum()
-    else:
-        r = p.A @ x - p.b
-        smooth = 0.5 * (r @ r) / p.m + 0.5 * p.lambda2 * (x @ x)
-    return float(smooth) + p.lambda1 * float(np.abs(x).sum())
-
-
-def _kinked(x0):
-    x0 = np.array(x0, dtype=float)
-    x0[::3] = 0.0
-    x0[1] = -0.0
-    return x0
-
-
-def _bit_cases():
-    """name -> (objective, start, scale of the step parameters c, h and lr)."""
-    rng = rng_for(28)
-    A, b, x0 = rng.standard_normal((6, 4)), rng.standard_normal(6), _kinked(rng.standard_normal(4))
-    lasso_d, lasso_b = rng.uniform(0.5, 2.0, 5), rng.uniform(-3.0, 3.0, 5)
-    lasso_x0 = _kinked(rng.standard_normal(5))
-    signs = np.array([1.0, -1.0, 1.0, -1.0])
-    return {
-        "kinked": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1.0),
-        "kinked-lasso": (DiagonalLasso(lasso_d, lasso_b, 1.0), lasso_x0, 1.0),
-        "no-l1": (ElasticNetProblem(A, b, 0.0, 0.7), x0, 1.0),
-        "no-l1-lasso": (DiagonalLasso(lasso_d, lasso_b, 0.0), lasso_x0, 1.0),
-        # full partials near 7e11: each below the threshold, their squares summing past it
-        "screen-bound": (ElasticNetProblem(np.eye(4), 2.8e12 * signs, 0.0, 0.5), 0.1 * signs, 1.0),
-        # one step of length about 4e13 or 4e160: partials promoted to infinity, or a dot that overflows
-        "promoted-1e13": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e13),
-        "overflow-1e160": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e160),
-        # every coordinate at its kink, both partials promoted with opposite signs
-        "kink-1e13": (ElasticNetProblem(A, b, 1e13, 0.7), np.array([0.0, -0.0, 0.0, -0.0]), 1.0),
-    }
-
-
-_BIT_CASES = _bit_cases()
-_BIT_PARAMS = [(case, method) for case, (p, _, _) in _BIT_CASES.items()
-               for method in ("SPEG-s", "SPEG-g", "GD", "Adam", "S-SPEG", "H-SPEG")
-               if isinstance(p, ElasticNetProblem) or method not in ("S-SPEG", "H-SPEG")]
-
-
-class TestOneDotPerStep:
-    """The loop takes ||g|| from the smooth-point screen's dot and the objectives reduce with
-    np.add.reduce; every record equals, bit for bit, plain_loop's over values reduced with
-    ndarray.sum, which assembles with specular_from_one_sided_array and takes sqrt(g.g) itself."""
-
-    MAX_ITERS = 150
-
-    def _runs(self, method, p, x0, scale):
-        """The library's record of method and plain_loop's for it."""
-        n, eta, direction = self.MAX_ITERS, optimizers.DEFAULT_ETA, None
-        partials = lambda k, x: (summed_value(p, x), p.one_sided_basis(x))  # noqa: E731
-        if method in ("SPEG-s", "S-SPEG", "H-SPEG"):
-            sched = StepSchedule.normalized_diminishing(4.0 * scale)
-        elif method == "SPEG-g":
-            sched = StepSchedule.geometric(0.5)
-        else:
-            sched, eta = StepSchedule.constant(0.01 * scale), 0.0
-        if method in ("S-SPEG", "H-SPEG"):
-            switch_k, draws = (0, rng_for(29)) if method == "S-SPEG" else (10, rng_for(29))
-
-            def partials(k, x, full=partials):
-                if k < switch_k:
-                    return full(k, x)
-                return summed_value(p, x), p.component_one_sided_basis(int(draws.integers(p.m)), x)
-        if method == "Adam":
-            direction = adam_direction(p.dimension)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref, _ = plain_loop(partials, x0, sched, n, eta, direction)
-        if method in ("SPEG-s", "SPEG-g"):
-            rec = speg_run(p, x0, sched, n)
-        elif method == "GD":
-            rec = gd_run(p, x0, 0.01 * scale, n)
-        elif method == "Adam":
-            rec = adam_run(p, x0, 0.01 * scale, n)
-        elif method == "S-SPEG":
-            rec = sspeg_run(p, x0, sched, n, rng=rng_for(29))
-        else:
-            rec = hspeg_run(p, x0, sched, switch_k=10, max_iters=n, rng=rng_for(29))
-        return rec, ref
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case,method", _BIT_PARAMS)
-    def test_record_matches_two_dot_loop(self, case, method):
-        rec, ref = self._runs(method, *_BIT_CASES[case])
-        assert_same_record(rec, ref)
-
-    def test_cases_reach_their_paths(self):
-        # each case takes the path its name says, on the SPEG-s run
-        runs = {case: self._runs("SPEG-s", *args)[0] for case, args in _BIT_CASES.items()}
-        screened = runs["screen-bound"].grad_norm
-        assert runs["screen-bound"].status == "max_iters" and np.all((screened >= 1e12) & (screened < math.inf))
-        for case in ("promoted-1e13", "overflow-1e160"):
-            rec = runs[case]
-            assert rec.status == "numerical_failure" and len(rec) == 2 and rec.grad_norm[1] == math.inf, case
-        assert runs["overflow-1e160"].f_current[1] == math.inf  # the value overflows as well
-        assert runs["kink-1e13"].status == "stationary" and list(runs["kink-1e13"].grad_norm) == [0.0]
-        for case in ("kinked", "kinked-lasso", "no-l1", "no-l1-lasso"):
-            assert runs[case].status == "max_iters" and np.all(np.isfinite(runs[case].grad_norm)), case
-
-
-class MatmulElasticNet(ElasticNetProblem):
-    """The elastic-net oracle with every product written ``@`` and the value summed in np.float64.
-
-    The reference for the library's oracle, whose products are ``ndarray.dot``
-    calls and whose value is summed in Python floats.  The two agree bit for
-    bit except in two cases, neither of which reaches a run's record: on a
-    view with negative strides ``@`` sums in numpy's own loop order, while
-    ``.dot`` gives the bits of the point's contiguous copy; and a product of
-    one term keeps the sign of a zero result under ``.dot``, where ``@``
-    returns 0.0.
-    """
-
-    def _value_at(self, x, r):
-        smooth = 0.5 * (r @ r) / self.m
-        if self.lambda2 != 0.0:
-            smooth = smooth + 0.5 * self.lambda2 * (x @ x)
-        return float(smooth) + self.lambda1 * float(np.add.reduce(np.abs(x)))
-
-    def _smooth_gradient_at(self, x, r):
-        return self.A.T @ r / self.m + self.lambda2 * x
-
-    def value(self, x):
-        x = objectives._check_dim(x, self.n)
-        return self._value_at(x, self.A @ x - self.b)
-
-    def one_sided_basis(self, x):
-        return self.value_and_one_sided_basis(x)[1]
-
-    def value_and_one_sided_basis(self, x):
-        x = objectives._check_dim(x, self.n)
-        r = self.A @ x - self.b
-        return self._value_at(x, r), objectives._l1_one_sided_basis(self._smooth_gradient_at(x, r), x, self.lambda1)
-
-    def component_one_sided_basis(self, j, x):
-        x = objectives._check_dim(x, self.n)
-        a = self.A[j]
-        g = a * (float(a @ x) - float(self.b[j])) + self.lambda2 * x
-        return objectives._l1_one_sided_basis(g, x, self.lambda1)
-
-
-def _dot_cases():
-    """name -> (A, b, lambda1, lambda2, start); the starts hold 0.0 and -0.0."""
-    rng = rng_for(47)
-    tall_A, tall_b = rng.standard_normal((9, 4)), rng.standard_normal(9)
-    wide_A, wide_b = rng.standard_normal((3, 7)), rng.standard_normal(3)
-    tall_x0, wide_x0 = _kinked(rng.standard_normal(4)), _kinked(rng.standard_normal(7))
-    strided = rng.standard_normal(14)
-    strided[[0, 6]] = 0.0, -0.0
-    return {
-        "m>n": (tall_A, tall_b, 0.3, 0.7, tall_x0),
-        "m<n": (wide_A, wide_b, 0.3, 0.7, wide_x0),
-        "m>n-no-ridge": (tall_A, tall_b, 0.3, 0.0, tall_x0),
-        "m<n-no-ridge": (wide_A, wide_b, 0.05, 0.0, wide_x0),
-        "no-l1": (tall_A, tall_b, 0.0, 0.7, tall_x0),
-        "strided-start": (wide_A, wide_b, 0.3, 0.7, strided[::2]),
-        "n=1": (tall_A[:, :1], tall_b, 0.3, 0.7, np.array([-0.0])),
-    }
-
-
-_DOT_CASES = _dot_cases()
-
-
-def _same_bits(got, want):
-    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-class TestDotProducts:
-    """The oracle's products are ndarray.dot calls and its value is summed in Python floats; every
-    record, and every oracle result, equals the ``@``/np.float64 reference bit for bit."""
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("method", list(harness.METHOD_NAMES))
-    @pytest.mark.parametrize("case", list(_DOT_CASES))
-    def test_record_matches_matmul_oracle(self, case, method):
-        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
-        cfg = harness.ExperimentConfig.from_dict({
-            "m": A.shape[0], "n": A.shape[1], "lambda1": lambda1, "lambda2": lambda2,
-            "methods": [method], "seed": 0, "max_iters": 300, "switch_k": 20})
-        records = [harness.run_method(method, cls(A, b, lambda1, lambda2), x0, cfg, rng_for(53))
-                   for cls in (ElasticNetProblem, MatmulElasticNet)]
-        assert_same_record(*records)
-
-    @pytest.mark.parametrize("case", list(_DOT_CASES))
-    def test_oracle_matches_matmul_oracle(self, case):
-        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
-        p, ref = ElasticNetProblem(A, b, lambda1, lambda2), MatmulElasticNet(A, b, lambda1, lambda2)
-        v = rng_for(59).standard_normal(p.n)
-        v[-1] = 0.0
-        for x in (x0, np.repeat(x0, 3)[1::3], 1e150 * x0):
-            assert _same_bits(p.value(x), ref.value(x))
-            got, want = p.value_and_one_sided_basis(x), ref.value_and_one_sided_basis(x)
-            assert _same_bits(got[0], want[0]) and all(map(_same_bits, got[1], want[1]))
-            plus, minus = want[1]
-            ahead, back = v > 0.0, v < 0.0
-            pair = p.one_sided(x, v)
-            assert _same_bits(pair.plus, float(plus[ahead] @ v[ahead] + minus[back] @ v[back]))
-            assert _same_bits(pair.minus, float(minus[ahead] @ v[ahead] + plus[back] @ v[back]))
-            for j in range(p.m):
-                assert all(map(_same_bits, p.component_one_sided_basis(j, x), ref.component_one_sided_basis(j, x)))
-                rj = float(A[j] @ x) - float(b[j])
-                smooth = 0.5 * rj * rj + (0.5 * lambda2 * (x @ x) if lambda2 else 0.0)
-                assert _same_bits(p.component(j).value(x), float(smooth) + lambda1 * float(np.abs(x).sum()))
-
-    def test_reversed_view_has_the_bits_of_its_copy(self):
-        A, b, lambda1, lambda2, x0 = _DOT_CASES["m<n"]
-        p = ElasticNetProblem(A, b, lambda1, lambda2)
-        x = rng_for(61).standard_normal(3 * p.n)[::-3]
-        assert _same_bits(p.value(x), p.value(x.copy()))
-        assert all(map(_same_bits, p.one_sided_basis(x), p.one_sided_basis(x.copy())))
-        assert all(map(_same_bits, p.component_one_sided_basis(1, x), p.component_one_sided_basis(1, x.copy())))
-
-
-class TestFixedPointReplay:
-    """Runs whose rows depend on x alone stop evaluating at a fixed point; the record is the plain loop's.
-
-    Every run here is compared byte for byte with plain_loop.  SPEG and GD
-    runs may finish from the first row whose step leaves x unchanged; S-SPEG,
-    H-SPEG and Adam carry state past x (the row draw, the moments) and must
-    evaluate every row.
-    """
-
-    MAX_ITERS = 300
-    GEOMETRIC = StepSchedule.geometric(0.5)
-    DIMINISHING = StepSchedule.normalized_diminishing(4.0)
-
-    def _run_and_reference(self, method, p, x0):
-        """The library's run of method, as a thunk, and plain_loop's (record, stall) for it."""
-        n, eta, direction = self.MAX_ITERS, optimizers.DEFAULT_ETA, None
-        if method == "SPEG-s":
-            sched, run = self.DIMINISHING, lambda: speg_run(p, x0, self.DIMINISHING, n)
-        elif method == "SPEG-g":
-            sched, run = self.GEOMETRIC, lambda: speg_run(p, x0, self.GEOMETRIC, n)
-        elif method == "GD":
-            sched, eta, run = StepSchedule.constant(0.01), 0.0, lambda: gd_run(p, x0, 0.01, n)
-        else:
-            sched, eta, run = StepSchedule.constant(0.01), 0.0, lambda: adam_run(p, x0, 0.01, n)
-            direction = adam_direction(p.dimension)
-        return run, plain_loop(fused_partials(p), x0, sched, n, eta, direction)
-
-    @pytest.mark.parametrize("start", ["net", "lasso", "lasso-no-l1"])
-    @pytest.mark.parametrize("method", ["SPEG-s", "SPEG-g", "GD", "Adam"])
-    def test_matches_plain_loop(self, method, start, oracle_rows):
-        # the starts have exact zeros (0.0 and -0.0); with lambda1 > 0 the first rows take the kink branch
-        p, x0 = {"net": _net_start, "lasso": lambda: _lasso_start(1.0),
-                 "lasso-no-l1": lambda: _lasso_start(0.0)}[start]()
-        run, (ref, stall) = self._run_and_reference(method, p, x0)
-        oracle_rows[0] = 0
-        rec = run()
-        assert_same_record(rec, ref)
-        if method == "Adam" or stall is None:
-            assert oracle_rows[0] == len(rec)
-        else:
-            assert oracle_rows[0] <= stall + 1
-        if method == "SPEG-g":  # summable steps: every start here reaches a fixed point
-            assert stall is not None and stall < self.MAX_ITERS
-
-    def test_gd_reaches_a_fixed_point(self, oracle_rows):
-        # a constant step, large enough to converge within the run, meets a fixed point too
-        p, x0 = _lasso_start(0.0)
-        ref, stall = plain_loop(fused_partials(p), x0, StepSchedule.constant(0.5), self.MAX_ITERS, 0.0)
-        assert stall is not None and stall < self.MAX_ITERS - 1
-        oracle_rows[0] = 0
-        assert_same_record(gd_run(p, x0, 0.5, self.MAX_ITERS), ref)
-        assert oracle_rows[0] <= stall + 1
-
-    def test_fixed_point_above_the_best_value(self, oracle_rows):
-        # the repeated rows keep the running best, not the fixed point's value
-        rng = rng_for(69)
-        p = ElasticNetProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.3, 0.2)
-        x0 = 3.0 * rng.standard_normal(3)
-        ref, stall = plain_loop(fused_partials(p), x0, self.GEOMETRIC, self.MAX_ITERS, optimizers.DEFAULT_ETA)
-        assert stall is not None and ref.f_current[stall] > ref.f_best[stall]
-        oracle_rows[0] = 0
-        assert_same_record(speg_run(p, x0, self.GEOMETRIC, self.MAX_ITERS), ref)
-        assert oracle_rows[0] <= stall + 1
-
-    def test_table2_geometric_run_stalls(self, oracle_rows):
-        A, b, x0 = harness.sample_instance(50, 100, harness.substream(7, 0, 0))
-        p = ElasticNetProblem(A, b, 0.01, 1.0)
-        sched = StepSchedule.geometric(harness.GEOMETRIC_RATIO)
-        ref, stall = plain_loop(fused_partials(p), x0, sched, 2500, optimizers.DEFAULT_ETA)
-        oracle_rows[0] = 0
-        rec = speg_run(p, x0, sched, 2500)
-        assert_same_record(rec, ref)
-        assert rec.status == "max_iters" and len(rec) == 2501
-        assert stall is not None and stall < 100
-        assert oracle_rows[0] <= stall + 1
-
-    @pytest.mark.parametrize("switch_k", [0, 10])
-    def test_sampled_runs_evaluate_every_row(self, switch_k, oracle_rows):
-        # under summable steps x stops moving, yet each row draws another component
-        p, x0 = _net_start()
-        ref, stall = plain_loop(sampled_partials(p, switch_k, rng_for(5)), x0, self.GEOMETRIC,
-                                self.MAX_ITERS, optimizers.DEFAULT_ETA)
-        assert stall is not None and stall < self.MAX_ITERS - 1
-        oracle_rows[0] = 0
-        if switch_k == 0:
-            rec = sspeg_run(p, x0, self.GEOMETRIC, self.MAX_ITERS, rng=rng_for(5))
-        else:
-            rec = hspeg_run(p, x0, self.GEOMETRIC, switch_k, self.MAX_ITERS, rng=rng_for(5))
-        assert_same_record(rec, ref)
-        assert oracle_rows[0] == len(rec)
-
-    def test_adam_evaluates_every_row(self, oracle_rows):
-        # a step of 1e-20 cannot move an iterate whose entries are far from zero
-        p, _ = _net_start()
-        x0 = rng_for(27).uniform(0.5, 2.0, p.dimension)
-        ref, stall = plain_loop(fused_partials(p), x0, StepSchedule.constant(1e-20), 50, 0.0,
-                                adam_direction(p.dimension))
-        assert stall == 0
-        oracle_rows[0] = 0
-        rec = adam_run(p, x0, 1e-20, 50)
-        assert_same_record(rec, ref)
-        assert oracle_rows[0] == len(rec)
-
-
-class MaxPair:
-    """f(x) = max(x1, x2) + ||x||^2 / 2: not separable, and it offers only the Objective protocol."""
-
-    dimension = 2
-
-    def value(self, x):
-        return float(max(x[0], x[1]) + 0.5 * (x @ x))
-
-    def one_sided_basis(self, x):
-        # the max term adds 1 to both partials of the larger coordinate; at a tie
-        # f'(x; e_i) = 1 and -f'(x; -e_i) = 0 for both
-        plus = np.array([x[0] >= x[1], x[1] >= x[0]], dtype=float) + x
-        minus = np.array([x[0] > x[1], x[1] > x[0]], dtype=float) + x
-        return plus, minus
-
-
-def bisecting_gradient(obj, x):
-    """The specular gradient written out: the partial where both sides agree, afun of the pair at a kink."""
-    plus, minus = obj.one_sided_basis(x)
-    return np.array([p if p == m else afun(p, m) for p, m in zip(plus.tolist(), minus.tolist())])
-
-
-class TestUserObjective:
-    """A user objective needs dimension, value and one_sided_basis, and nothing else."""
-
-    STARTS = ([1.0, 1.0], [1.0, -0.5])  # on the tie, where every step keeps it, and off it
-
-    def test_protocol(self):
-        p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.5, 0.5)
-        for obj in (MaxPair(), p, p.component(0), DiagonalLasso(np.ones(2), [1.0, -2.0], 0.5),
-                    objectives.test_function_1d("abs")):
-            assert isinstance(obj, Objective)
-
-        class DirectionalOnly:
-            dimension = 2
-
-            def value(self, x):
-                return 0.0
-
-            def one_sided(self, x, v):
-                return specular.OneSidedPair(0.0, 0.0)
-
-        assert not isinstance(DirectionalOnly(), Objective)
-
-    def test_gradient_and_jacobian(self):
-        obj = MaxPair()
-        for x in map(np.array, self.STARTS):
-            ref = bisecting_gradient(obj, x)
-            assert specular_gradient(obj, x).tobytes() == ref.tobytes()
-            assert specular_jacobian([obj, obj], x).tobytes() == np.vstack([ref, ref]).tobytes()
-        assert specular_gradient(obj, [1.0, 1.0])[0] == pytest.approx(afun(2.0, 1.0), rel=1e-15)
-
-    def test_speg_and_adam(self):
-        obj, sched = MaxPair(), StepSchedule.normalized_diminishing(1.0)
-        for x0 in self.STARTS:
-            ref = reference_run(obj, x0, 40, 1e-12, lambda k, x: bisecting_gradient(obj, x),
-                                lambda k, g, gnorm: sched.step_size(k, gnorm) * g)
-            rec = speg_run(obj, x0, sched, 40)
-            assert (list(rec.f_current), list(rec.f_best), list(rec.grad_norm)) == ref
-            ref = reference_run(obj, x0, 40, 0.0, lambda k, x: bisecting_gradient(obj, x), adam_step(2, 0.01))
-            rec = adam_run(obj, x0, 0.01, 40)
-            assert (list(rec.f_current), list(rec.f_best), list(rec.grad_norm)) == ref
-
-
-def test_not_a_subgradient_of_a_non_separable_kink():
-    # negative control: specopt checks the subgradient property only for
-    # separable kink terms; at 0, MaxPair has g = (sqrt(2) - 1)(1, 1), and
-    # f(w) >= f(0) + g.w fails along w = t(-1, -1) for t below 3 - 2 sqrt(2)
-    obj = MaxPair()
-    g = specular_gradient(obj, np.zeros(2))
-    assert g == pytest.approx([math.sqrt(2.0) - 1.0] * 2, rel=1e-15)
-    f0 = obj.value(np.zeros(2))
-    for t, holds in ((0.1, False), (0.17, False), (0.18, True)):
-        w = np.array([-t, -t])
-        assert (obj.value(w) >= f0 + float(g @ w)) == holds, t
-
-
 class TestSmoothFastPath:
     """Smooth iterates skip the kink machinery; kinked ones still reach it."""
 
@@ -1084,6 +477,16 @@ class TestProjection:
             EuclideanBall(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             Box(np.ones(2), np.zeros(2))
+        # a NaN bound or a non-finite center used to project to NaN, silently
+        for lo, hi in (([math.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.nan]), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                Box(np.array(lo), np.array(hi))
+        for center in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], math.nan):
+            with pytest.raises(ValueError, match="center"):
+                EuclideanBall(np.array(center), 1.0)
+        # infinite box bounds stay legal: a half-space box
+        box = Box(np.array([-math.inf, 0.0]), np.array([0.0, math.inf]))
+        assert np.array_equal(box.project(np.array([0.5, -0.5])), [0.0, 0.0])
 
 
 class TestBasicInequality:

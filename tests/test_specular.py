@@ -17,9 +17,9 @@ from specopt.specular import (
     frechet_residual,
     specular_directional,
     specular_from_one_sided,
-    specular_from_one_sided_array,
     specular_gradient,
     specular_jacobian,
+    specular_with_norm,
 )
 
 INF = math.inf
@@ -72,7 +72,7 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         plus = rng.standard_normal(200) * 10
         minus = rng.standard_normal(200) * 10
-        vec = specular_from_one_sided_array(plus, minus)
+        vec = specular_with_norm(plus, minus)[0]
         scal = [specular_from_one_sided(OneSidedPair(p, m), 1.0) for p, m in zip(plus, minus)]
         assert np.array_equal(vec, np.array(scal))
 
@@ -87,19 +87,19 @@ class TestAssembly:
         equal = rng.random(500) < 0.6
         minus[equal] = plus[equal]
         plus[:3] = minus[:3] = 0.0
-        vec = specular_from_one_sided_array(plus, minus)
+        vec = specular_with_norm(plus, minus)[0]
         assert np.array_equal(vec, afun_array(plus, minus))
         assert np.array_equal(vec, vnorm * afun_array(plus / vnorm, minus / vnorm))
-        assert np.array_equal(specular_from_one_sided_array(plus[equal], minus[equal]), plus[equal])
+        assert np.array_equal(specular_with_norm(plus[equal], minus[equal])[0], plus[equal])
 
     def test_kink_masked_assembly_keeps_fallbacks(self):
         with pytest.raises(ValueError):
-            specular_from_one_sided_array(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
-        out = specular_from_one_sided_array(np.array([2e12, 1.0]), np.array([1.0, 1.0]))
+            specular_with_norm(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
+        out = specular_with_norm(np.array([2e12, 1.0]), np.array([1.0, 1.0]))[0]
         assert out[1] == 1.0
         assert out[0] == specular_from_one_sided(OneSidedPair(2e12, 1.0), 1.0)
         with pytest.raises(HypothesisViolationError):
-            specular_from_one_sided_array(np.array([INF, 1.0]), np.array([2e12, 1.0]))
+            specular_with_norm(np.array([INF, 1.0]), np.array([2e12, 1.0]))
 
     @pytest.mark.parametrize("vnorm", [1.0])
     def test_shared_partials_equal_copied_partials_bitwise(self, vnorm):
@@ -111,19 +111,19 @@ class TestAssembly:
         # to the general path.
         below = np.nextafter(1e12, 0.0)
         for p in (np.array([0.0, -0.0, 1.5, -2.5e-300, 3.0e11, below, -below]), np.full(3, 9e11)):
-            shared = specular_from_one_sided_array(p, p)
-            assert shared.tobytes() == specular_from_one_sided_array(p, p.copy()).tobytes()
+            shared = specular_with_norm(p, p)[0]
+            assert shared.tobytes() == specular_with_norm(p, p.copy())[0].tobytes()
             assert shared.tobytes() == (vnorm * (p / vnorm)).tobytes()
         for at in (np.array([1.0, 1e12]), np.array([-1e12, 1.0]), np.array([INF, 0.0])):
             with pytest.raises(HypothesisViolationError):
-                specular_from_one_sided_array(at, at)
+                specular_with_norm(at, at)
             with pytest.raises(HypothesisViolationError):
-                specular_from_one_sided_array(at, at.copy())
+                specular_with_norm(at, at.copy())
         at = np.array([1.0, math.nan])
         with pytest.raises(ValueError) as shared_err:
-            specular_from_one_sided_array(at, at)
+            specular_with_norm(at, at)
         with pytest.raises(ValueError) as copied_err:
-            specular_from_one_sided_array(at, at.copy())
+            specular_with_norm(at, at.copy())
         assert (type(shared_err.value), str(shared_err.value)) == (type(copied_err.value), str(copied_err.value))
 
 
@@ -220,9 +220,11 @@ class TestFdEstimator:
         assert est.converged
         assert est.value == pytest.approx(3.0 * scale, rel=1e-12)
 
-    @pytest.mark.parametrize("schedule", [[], [0.0], [1e-3, -1e-4], [1e-3, math.inf], [math.nan]])
+    @pytest.mark.parametrize("schedule", [[], [0.0], [1e-3, -1e-4], [1e-3, math.inf], [math.nan],
+                                          [1e-3, 1e-1, 1.0], [1e-3, 1e-3]])
     def test_bad_step_schedule_rejected(self, schedule):
-        # an empty schedule used to end in IndexError, a zero step in ZeroDivisionError
+        # an empty schedule used to end in IndexError, a zero step in ZeroDivisionError;
+        # a growing schedule reported convergence at a coarser step than the one before it
         with pytest.raises(ValueError, match="h_schedule"):
             fd_specular_directional(lambda z: abs(float(z[0])), [0.0], [1.0], h_schedule=schedule)
 
