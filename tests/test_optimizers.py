@@ -1,12 +1,16 @@
-"""Optimizer tests: hand-simulated trajectories, schedules, records, and bounds."""
+"""Optimizer tests: hand-simulated trajectories, schedules, records, and bounds.
+
+The run-level bit-identity tests compare records against the one reference
+engine in ``test_bit_identity.py``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from specopt import checks, objectives, optimizers, specular
-from specopt.objectives import DiagonalLasso, ElasticNetProblem
+from specopt import checks, harness, objectives, optimizers, specular
+from specopt.objectives import DiagonalLasso, ElasticNetProblem, Objective
 from specopt.optimizers import (
     Box,
     EuclideanBall,
@@ -19,7 +23,20 @@ from specopt.optimizers import (
     speg_run,
     sspeg_run,
 )
-from specopt.specular import specular_gradient
+from specopt.scalar import afun
+from specopt.specular import specular_gradient, specular_jacobian
+from test_bit_identity import (
+    Rules,
+    assert_same_record,
+    fused_oracle,
+    reference_gradient,
+    reference_loop,
+    reference_oracle,
+    reference_partials,
+    run_library,
+    run_reference,
+    separate_oracle,
+)
 
 
 def half_square_1d():
@@ -549,3 +566,375 @@ class TestSubgradientProperty:
             x = rng.standard_normal(6)
             g = specular_gradient(lasso, x)
             assert float(g @ (x - xstar)) >= -1e-8
+
+
+def _kinked(x0):
+    x0 = np.array(x0, dtype=float)
+    x0[::3] = 0.0
+    x0[1] = -0.0
+    return x0
+
+
+def _lasso_start(lambda1):
+    rng = rng_for(25)
+    lasso = DiagonalLasso(rng.uniform(0.5, 2.0, 9), rng.uniform(-3.0, 3.0, 9), lambda1)
+    x0 = rng.standard_normal(9)
+    x0[::3] = 0.0
+    x0[4] = -0.0
+    return lasso, x0
+
+
+def _net_start():
+    rng = rng_for(26)
+    p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
+    x0 = rng.standard_normal(9)
+    x0[::3] = 0.0
+    x0[4] = -0.0
+    return p, x0
+
+
+class TestFusedLoopIdentity:
+    """Every method's record equals, bit for bit, the reference loop over the separate oracle calls."""
+
+    MAX_ITERS = 60
+
+    def _problem(self):
+        rng = rng_for(21)
+        p = ElasticNetProblem(rng.standard_normal((12, 9)), rng.standard_normal(12), 0.3, 0.7)
+        x0 = rng.standard_normal(9)
+        x0[::3] = 0.0  # start on kinks, where the assembly takes the afun branch
+        return p, x0
+
+    def _problems(self):
+        """The elastic net of the table runs, and the diagonal lasso the check suites run,
+        the latter also with lambda1 = 0, where no iterate is ever at a kink."""
+        return self._problem(), _lasso_start(1.0), _lasso_start(0.0)
+
+    def _assert_same(self, method, p, x0, rules):
+        ref, _ = run_reference(method, p, x0, rules, separate_oracle)
+        assert_same_record(run_library(method, p, x0, rules), ref)
+
+    def test_speg(self):
+        for p, x0 in self._problems():
+            for method in ("SPEG-s", "SPEG-g"):
+                self._assert_same(method, p, x0, Rules(self.MAX_ITERS, ratio=0.9))
+
+    def test_sspeg(self):
+        self._assert_same("S-SPEG", *self._problem(), Rules(self.MAX_ITERS, seed=3))
+
+    @pytest.mark.parametrize("switch_k", [0, 1, 10, 60, 61, 500])
+    def test_hspeg(self, switch_k):
+        # from switch_k = MAX_ITERS on, the full method throughout, the last row included
+        self._assert_same("H-SPEG", *self._problem(), Rules(self.MAX_ITERS, switch_k=switch_k, seed=4))
+
+    def test_gd(self):
+        for p, x0 in self._problems():
+            self._assert_same("GD", p, x0, Rules(self.MAX_ITERS))
+
+    def test_adam(self):
+        for p, x0 in self._problems():
+            self._assert_same("Adam", p, x0, Rules(self.MAX_ITERS))
+
+
+def _bit_cases():
+    """name -> (objective, start, scale of the step parameters c, h and lr)."""
+    rng = rng_for(28)
+    A, b, x0 = rng.standard_normal((6, 4)), rng.standard_normal(6), _kinked(rng.standard_normal(4))
+    lasso_d, lasso_b = rng.uniform(0.5, 2.0, 5), rng.uniform(-3.0, 3.0, 5)
+    lasso_x0 = _kinked(rng.standard_normal(5))
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    return {
+        "kinked": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1.0),
+        "kinked-lasso": (DiagonalLasso(lasso_d, lasso_b, 1.0), lasso_x0, 1.0),
+        "no-l1": (ElasticNetProblem(A, b, 0.0, 0.7), x0, 1.0),
+        "no-l1-lasso": (DiagonalLasso(lasso_d, lasso_b, 0.0), lasso_x0, 1.0),
+        # full partials near 7e11: each below the threshold, their squares summing past it
+        "screen-bound": (ElasticNetProblem(np.eye(4), 2.8e12 * signs, 0.0, 0.5), 0.1 * signs, 1.0),
+        # one step of length about 4e13 or 4e160: partials promoted to infinity, or a dot that overflows
+        "promoted-1e13": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e13),
+        "overflow-1e160": (ElasticNetProblem(A, b, 0.3, 0.7), x0, 1e160),
+        # every coordinate at its kink, both partials promoted with opposite signs
+        "kink-1e13": (ElasticNetProblem(A, b, 1e13, 0.7), np.array([0.0, -0.0, 0.0, -0.0]), 1.0),
+    }
+
+
+_BIT_CASES = _bit_cases()
+_BIT_PARAMS = [(case, method) for case, (p, _, _) in _BIT_CASES.items()
+               for method in ("SPEG-s", "SPEG-g", "GD", "Adam", "S-SPEG", "H-SPEG")
+               if isinstance(p, ElasticNetProblem) or method not in ("S-SPEG", "H-SPEG")]
+
+
+def _scaled(scale):
+    """The rules of TestOneDotPerStep, their step parameters c, h and lr scaled."""
+    return Rules(150, c=4.0 * scale, h=0.01 * scale, lr=0.01 * scale)
+
+
+class TestOneDotPerStep:
+    """The loop takes ||g|| from the smooth-point screen's dot and the objectives reduce with
+    np.add.reduce; every record equals, bit for bit, the reference loop's over the reference
+    oracle, which reduces with ndarray.sum and takes sqrt(g.g) itself."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case,method", _BIT_PARAMS)
+    def test_record_matches_two_dot_loop(self, case, method):
+        p, x0, scale = _BIT_CASES[case]
+        ref, _ = run_reference(method, p, x0, _scaled(scale), reference_oracle)
+        assert_same_record(run_library(method, p, x0, _scaled(scale)), ref)
+
+    def test_cases_reach_their_paths(self):
+        # each case takes the path its name says, on the SPEG-s run
+        runs = {case: run_library("SPEG-s", p, x0, _scaled(scale)) for case, (p, x0, scale) in _BIT_CASES.items()}
+        screened = runs["screen-bound"].grad_norm
+        assert runs["screen-bound"].status == "max_iters" and np.all((screened >= 1e12) & (screened < math.inf))
+        for case in ("promoted-1e13", "overflow-1e160"):
+            rec = runs[case]
+            assert rec.status == "numerical_failure" and len(rec) == 2 and rec.grad_norm[1] == math.inf, case
+        assert runs["overflow-1e160"].f_current[1] == math.inf  # the value overflows as well
+        assert runs["kink-1e13"].status == "stationary" and list(runs["kink-1e13"].grad_norm) == [0.0]
+        for case in ("kinked", "kinked-lasso", "no-l1", "no-l1-lasso"):
+            assert runs[case].status == "max_iters" and np.all(np.isfinite(runs[case].grad_norm)), case
+
+
+def _dot_cases():
+    """name -> (A, b, lambda1, lambda2, start); the starts hold 0.0 and -0.0."""
+    rng = rng_for(47)
+    tall_A, tall_b = rng.standard_normal((9, 4)), rng.standard_normal(9)
+    wide_A, wide_b = rng.standard_normal((3, 7)), rng.standard_normal(3)
+    tall_x0, wide_x0 = _kinked(rng.standard_normal(4)), _kinked(rng.standard_normal(7))
+    strided = rng.standard_normal(14)
+    strided[[0, 6]] = 0.0, -0.0
+    return {
+        "m>n": (tall_A, tall_b, 0.3, 0.7, tall_x0),
+        "m<n": (wide_A, wide_b, 0.3, 0.7, wide_x0),
+        "m>n-no-ridge": (tall_A, tall_b, 0.3, 0.0, tall_x0),
+        "m<n-no-ridge": (wide_A, wide_b, 0.05, 0.0, wide_x0),
+        "no-l1": (tall_A, tall_b, 0.0, 0.7, tall_x0),
+        "strided-start": (wide_A, wide_b, 0.3, 0.7, strided[::2]),
+        "n=1": (tall_A[:, :1], tall_b, 0.3, 0.7, np.array([-0.0])),
+    }
+
+
+_DOT_CASES = _dot_cases()
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestDotProducts:
+    """The oracle's products are ndarray.dot calls and its value is summed in Python floats; every
+    record, and every oracle result, equals the ``@``/np.float64 reference oracle's bit for bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", list(harness.METHOD_NAMES))
+    @pytest.mark.parametrize("case", list(_DOT_CASES))
+    def test_record_matches_matmul_oracle(self, case, method):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
+        cfg = harness.ExperimentConfig.from_dict({
+            "m": A.shape[0], "n": A.shape[1], "lambda1": lambda1, "lambda2": lambda2,
+            "methods": [method], "seed": 0, "max_iters": 300, "switch_k": 20})
+        p = ElasticNetProblem(A, b, lambda1, lambda2)
+        rules = Rules(cfg.max_iters, c=cfg.schedule_c, h=harness.GD_STEP, lr=harness.ADAM_LR,
+                      switch_k=cfg.switch_k, seed=53)
+        ref, _ = run_reference(method, p, x0, rules, reference_oracle)
+        assert_same_record(harness.run_method(method, p, x0, cfg, rng_for(53)), ref)
+
+    @pytest.mark.parametrize("case", list(_DOT_CASES))
+    def test_oracle_matches_matmul_oracle(self, case):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES[case]
+        p = ElasticNetProblem(A, b, lambda1, lambda2)
+        ref = reference_oracle(p)
+        v = rng_for(59).standard_normal(p.n)
+        v[-1] = 0.0
+        for x in (x0, np.repeat(x0, 3)[1::3], 1e150 * x0):
+            assert _same_bits(p.value(x), ref.value(x))
+            got, want = p.value_and_one_sided_basis(x), ref.full(x)
+            assert _same_bits(got[0], want[0]) and all(map(_same_bits, got[1], want[1]))
+            plus, minus = want[1]
+            ahead, back = v > 0.0, v < 0.0
+            pair = p.one_sided(x, v)
+            assert _same_bits(pair.plus, float(plus[ahead] @ v[ahead] + minus[back] @ v[back]))
+            assert _same_bits(pair.minus, float(minus[ahead] @ v[ahead] + plus[back] @ v[back]))
+            for j in range(p.m):
+                assert all(map(_same_bits, p.component_one_sided_basis(j, x), ref.sample(j, x)))
+                rj = float(A[j] @ x) - float(b[j])
+                smooth = 0.5 * rj * rj + (0.5 * lambda2 * (x @ x) if lambda2 else 0.0)
+                assert _same_bits(p.component(j).value(x), float(smooth) + lambda1 * float(np.abs(x).sum()))
+
+    def test_reversed_view_has_the_bits_of_its_copy(self):
+        A, b, lambda1, lambda2, x0 = _DOT_CASES["m<n"]
+        p = ElasticNetProblem(A, b, lambda1, lambda2)
+        x = rng_for(61).standard_normal(3 * p.n)[::-3]
+        assert _same_bits(p.value(x), p.value(x.copy()))
+        assert all(map(_same_bits, p.one_sided_basis(x), p.one_sided_basis(x.copy())))
+        assert all(map(_same_bits, p.component_one_sided_basis(1, x), p.component_one_sided_basis(1, x.copy())))
+
+
+@pytest.fixture
+def oracle_rows(monkeypatch):
+    """Counts the rows runs evaluate: each row calls the fused hook or value exactly once."""
+    calls = [0]
+    for cls in (ElasticNetProblem, DiagonalLasso):
+        for name in ("value_and_one_sided_basis", "value"):
+            def counted(self, x, method=getattr(cls, name)):
+                calls[0] += 1
+                return method(self, x)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestFixedPointReplay:
+    """Runs whose rows depend on x alone stop evaluating at a fixed point; the record is the reference loop's.
+
+    Every run here is compared byte for byte with reference_loop over the
+    fused oracle.  SPEG and GD runs may finish from the first row whose step
+    leaves x unchanged; S-SPEG, H-SPEG and Adam carry state past x (the row
+    draw, the moments) and must evaluate every row.
+    """
+
+    RULES = Rules(300)
+
+    @pytest.mark.parametrize("start", ["net", "lasso", "lasso-no-l1"])
+    @pytest.mark.parametrize("method", ["SPEG-s", "SPEG-g", "GD", "Adam"])
+    def test_matches_plain_loop(self, method, start, oracle_rows):
+        # the starts have exact zeros (0.0 and -0.0); with lambda1 > 0 the first rows take the kink branch
+        p, x0 = {"net": _net_start, "lasso": lambda: _lasso_start(1.0),
+                 "lasso-no-l1": lambda: _lasso_start(0.0)}[start]()
+        ref, stall = run_reference(method, p, x0, self.RULES, fused_oracle)
+        oracle_rows[0] = 0
+        rec = run_library(method, p, x0, self.RULES)
+        assert_same_record(rec, ref)
+        if method == "Adam" or stall is None:
+            assert oracle_rows[0] == len(rec)
+        else:
+            assert oracle_rows[0] <= stall + 1
+        if method == "SPEG-g":  # summable steps: every start here reaches a fixed point
+            assert stall is not None and stall < self.RULES.max_iters
+
+    def test_gd_reaches_a_fixed_point(self, oracle_rows):
+        # a constant step, large enough to converge within the run, meets a fixed point too
+        p, x0 = _lasso_start(0.0)
+        rules = Rules(300, h=0.5)
+        ref, stall = run_reference("GD", p, x0, rules, fused_oracle)
+        assert stall is not None and stall < rules.max_iters - 1
+        oracle_rows[0] = 0
+        assert_same_record(run_library("GD", p, x0, rules), ref)
+        assert oracle_rows[0] <= stall + 1
+
+    def test_fixed_point_above_the_best_value(self, oracle_rows):
+        # the repeated rows keep the running best, not the fixed point's value
+        rng = rng_for(69)
+        p = ElasticNetProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.3, 0.2)
+        x0 = 3.0 * rng.standard_normal(3)
+        ref, stall = run_reference("SPEG-g", p, x0, self.RULES, fused_oracle)
+        assert stall is not None and ref.f_current[stall] > ref.f_best[stall]
+        oracle_rows[0] = 0
+        assert_same_record(run_library("SPEG-g", p, x0, self.RULES), ref)
+        assert oracle_rows[0] <= stall + 1
+
+    def test_table2_geometric_run_stalls(self, oracle_rows):
+        A, b, x0 = harness.sample_instance(50, 100, harness.substream(7, 0, 0))
+        p = ElasticNetProblem(A, b, 0.01, 1.0)
+        rules = Rules(2500, ratio=harness.GEOMETRIC_RATIO)
+        ref, stall = run_reference("SPEG-g", p, x0, rules, fused_oracle)
+        oracle_rows[0] = 0
+        rec = run_library("SPEG-g", p, x0, rules)
+        assert_same_record(rec, ref)
+        assert rec.status == "max_iters" and len(rec) == 2501
+        assert stall is not None and stall < 100
+        assert oracle_rows[0] <= stall + 1
+
+    @pytest.mark.parametrize("switch_k", [0, 10])
+    def test_sampled_runs_evaluate_every_row(self, switch_k, oracle_rows):
+        # under summable steps x stops moving, yet each row draws another component
+        p, x0 = _net_start()
+        sched, n = StepSchedule.geometric(0.5), self.RULES.max_iters
+        partials = reference_partials(fused_oracle(p), p.m, switch_k, 5)
+        ref, stall = reference_loop(partials, x0, sched, n, optimizers.DEFAULT_ETA)
+        assert stall is not None and stall < n - 1
+        oracle_rows[0] = 0
+        if switch_k == 0:
+            rec = sspeg_run(p, x0, sched, n, rng=rng_for(5))
+        else:
+            rec = hspeg_run(p, x0, sched, switch_k, n, rng=rng_for(5))
+        assert_same_record(rec, ref)
+        assert oracle_rows[0] == len(rec)
+
+    def test_adam_evaluates_every_row(self, oracle_rows):
+        # a step of 1e-20 cannot move an iterate whose entries are far from zero
+        p, _ = _net_start()
+        x0 = rng_for(27).uniform(0.5, 2.0, p.dimension)
+        rules = Rules(50, lr=1e-20)
+        ref, stall = run_reference("Adam", p, x0, rules, fused_oracle)
+        assert stall == 0
+        oracle_rows[0] = 0
+        rec = run_library("Adam", p, x0, rules)
+        assert_same_record(rec, ref)
+        assert oracle_rows[0] == len(rec)
+
+
+class MaxPair:
+    """f(x) = max(x1, x2) + ||x||^2 / 2: not separable, and it offers only the Objective protocol."""
+
+    dimension = 2
+
+    def value(self, x):
+        return float(max(x[0], x[1]) + 0.5 * (x @ x))
+
+    def one_sided_basis(self, x):
+        # the max term adds 1 to both partials of the larger coordinate; at a tie
+        # f'(x; e_i) = 1 and -f'(x; -e_i) = 0 for both
+        plus = np.array([x[0] >= x[1], x[1] >= x[0]], dtype=float) + x
+        minus = np.array([x[0] > x[1], x[1] > x[0]], dtype=float) + x
+        return plus, minus
+
+
+class TestUserObjective:
+    """A user objective needs dimension, value and one_sided_basis, and nothing else."""
+
+    STARTS = ([1.0, 1.0], [1.0, -0.5])  # on the tie, where every step keeps it, and off it
+
+    def test_protocol(self):
+        p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.5, 0.5)
+        for obj in (MaxPair(), p, p.component(0), DiagonalLasso(np.ones(2), [1.0, -2.0], 0.5),
+                    objectives.test_function_1d("abs")):
+            assert isinstance(obj, Objective)
+
+        class DirectionalOnly:
+            dimension = 2
+
+            def value(self, x):
+                return 0.0
+
+            def one_sided(self, x, v):
+                return specular.OneSidedPair(0.0, 0.0)
+
+        assert not isinstance(DirectionalOnly(), Objective)
+
+    def test_gradient_and_jacobian(self):
+        obj = MaxPair()
+        for x in map(np.array, self.STARTS):
+            ref = reference_gradient(*obj.one_sided_basis(x))
+            assert specular_gradient(obj, x).tobytes() == ref.tobytes()
+            assert specular_jacobian([obj, obj], x).tobytes() == np.vstack([ref, ref]).tobytes()
+        assert specular_gradient(obj, [1.0, 1.0])[0] == pytest.approx(afun(2.0, 1.0), rel=1e-15)
+
+    def test_speg_and_adam(self):
+        obj, rules = MaxPair(), Rules(40, c=1.0)
+        for x0 in self.STARTS:
+            for method in ("SPEG-s", "Adam"):
+                ref, _ = run_reference(method, obj, x0, rules, separate_oracle)
+                assert_same_record(run_library(method, obj, x0, rules), ref)
+
+
+def test_not_a_subgradient_of_a_non_separable_kink():
+    # negative control: specopt checks the subgradient property only for
+    # separable kink terms; at 0, MaxPair has g = (sqrt(2) - 1)(1, 1), and
+    # f(w) >= f(0) + g.w fails along w = t(-1, -1) for t below 3 - 2 sqrt(2)
+    obj = MaxPair()
+    g = specular_gradient(obj, np.zeros(2))
+    assert g == pytest.approx([math.sqrt(2.0) - 1.0] * 2, rel=1e-15)
+    f0 = obj.value(np.zeros(2))
+    for t, holds in ((0.1, False), (0.17, False), (0.18, True)):
+        w = np.array([-t, -t])
+        assert (obj.value(w) >= f0 + float(g @ w)) == holds, t
