@@ -4,7 +4,9 @@ Each suite draws its own deterministic random sample, verifies one family of
 identities or inequalities, and reports the worst violation it saw.  The
 ``samples`` argument scales the sampling effort (the fast level uses 1e2,
 the full level 1e4).  Acceptance criteria 1-4 and 10 call five of these
-suites with the gate's own sample counts and streams.
+suites with the gate's own sample counts and streams.  The ordering-lemma
+and subgradient suites draw points with zero coordinates, the kinks where the
+specular gradient differs from the classical one, and report how many.
 """
 
 from __future__ import annotations
@@ -64,12 +66,29 @@ def _random_instance(rng: np.random.Generator, max_mn: int) -> ElasticNetProblem
     return ElasticNetProblem(A, b, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
 
 
+def _kinked(rng: np.random.Generator, z: np.ndarray, nonzero: bool = False) -> np.ndarray:
+    """z with each coordinate replaced, in place, by 0.0 or -0.0 with probability 1/2.
+
+    A zero coordinate of x is a kink of the l1 term, where the two one-sided
+    partials differ.  With ``nonzero`` a draw that would zero every
+    coordinate spares one, so a direction stays a direction.
+    """
+    u = rng.random(z.size)
+    if nonzero and (u < 0.5).all():
+        u[u.argmax()] = 1.0
+    z[u < 0.5] = 0.0
+    z[u < 0.25] = -0.0
+    return z
+
+
 def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
     worst = -math.inf
+    kinks = 0
     for _ in range(samples):
         p = _random_instance(rng, max_mn=13)
-        x = rng.standard_normal(p.n)
-        v = rng.standard_normal(p.n)
+        x = _kinked(rng, rng.standard_normal(p.n))
+        v = _kinked(rng, rng.standard_normal(p.n), nonzero=True)
+        kinks += int(np.count_nonzero(x == 0.0))
         pair = p.one_sided(x, v)
         ds = specular_from_one_sided(pair, float(np.linalg.norm(v)))
         lower = p.value(x) - p.value(x - v)
@@ -77,21 +96,35 @@ def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
         chain = (lower - pair.minus, pair.minus - ds, ds - pair.plus, pair.plus - upper)
         worst = max(worst, *chain)
     passed = worst <= 1e-9
-    return SuiteResult("ordering-lemma", passed, f"worst chain violation {worst:.3e}")
+    return SuiteResult("ordering-lemma", passed,
+                       f"worst chain violation {worst:.3e} at {kinks} kink coordinates")
 
 
 def subgradient_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
+    """The subgradient inequality at kinked points, and each kink entry of g exactly afun's."""
     worst = -math.inf
+    kinks = off = 0
     for _ in range(samples):
         p = _random_instance(rng, max_mn=21)
-        x = rng.standard_normal(p.n)
+        x = _kinked(rng, rng.standard_normal(p.n))
         w = rng.standard_normal(p.n)
         g = specular_gradient(p, x)
+        plus, minus = p.one_sided_basis(x)
+        kink = plus != minus
+        exact = np.array([afun(a, b) for a, b in zip(plus[kink].tolist(), minus[kink].tolist())])
+        kinks += exact.size
+        off += int(np.count_nonzero(g[kink].view(np.int64) != exact.view(np.int64)))
         fw = p.value(w)
         gap = p.value(x) + float(g.dot(w - x)) - fw - 1e-8 * (1.0 + abs(fw))
         worst = max(worst, gap)
-    passed = worst <= 0.0
-    return SuiteResult("subgradient-inequality", passed, f"worst inequality slack {worst:.3e}")
+    passed = worst <= 0.0 and off == 0
+    return SuiteResult("subgradient-inequality", passed,
+                       f"worst inequality slack {worst:.3e} at {kinks} kink coordinates, {off} off afun")
+
+
+def _random_lasso(rng: np.random.Generator) -> DiagonalLasso:
+    n = int(rng.integers(2, 12))
+    return DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 1.0)
 
 
 def quasi_fermat(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -99,13 +132,12 @@ def quasi_fermat(samples: int, rng: np.random.Generator) -> SuiteResult:
     worst = -math.inf
     n_problems = max(1, samples // 20)
     for _ in range(n_problems):
-        n = int(rng.integers(2, 12))
-        lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 1.0)
+        lasso = _random_lasso(rng)
         xstar = lasso.minimizer()
         grad = specular_gradient(lasso, xstar)
         worst = max(worst, float(np.abs(grad).max()) - 1.0)  # coordinate directions
         for _ in range(20):
-            v = rng.standard_normal(n)
+            v = rng.standard_normal(lasso.dimension)
             vnorm = float(np.linalg.norm(v))
             ds = specular_from_one_sided(lasso.one_sided(xstar, v), vnorm)
             worst = max(worst, abs(ds) - vnorm)
@@ -169,9 +201,8 @@ def basic_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
     iters = 2000
     worst = -math.inf
     for _ in range(n_problems):
-        n = int(rng.integers(2, 12))
-        lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), 1.0)
-        x0 = rng.standard_normal(n)
+        lasso = _random_lasso(rng)
+        x0 = rng.standard_normal(lasso.dimension)
         record = speg_run(lasso, x0, StepSchedule.normalized_diminishing(4.0), iters)
         worst = max(worst, basic_inequality_excess(lasso, x0, lasso.minimizer(), record))
     passed = worst <= 1e-9

@@ -251,6 +251,8 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if not np.all(d > 0.0):  # NaN fails the comparison
         raise ValueError("curvatures d must be strictly positive")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
     if not lambda1 >= 0.0:
         raise ValueError("lambda1 must be nonnegative")
     return np.sign(b) * np.maximum(np.abs(b) - lambda1 / d, 0.0)

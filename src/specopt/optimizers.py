@@ -330,7 +330,11 @@ class EuclideanBall:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box {x : lo <= x <= hi} (coordinatewise); a bound may be infinite, not NaN."""
+    """Axis-aligned box {x : lo <= x <= hi} (coordinatewise).
+
+    A bound may be -inf below or +inf above, not NaN; a lower bound of +inf
+    or an upper bound of -inf leaves no real point in the box.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -340,6 +344,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float)
         if lo.shape != hi.shape or not np.all(lo <= hi):  # a NaN bound fails the comparison
             raise ValueError("box bounds must satisfy lo <= hi coordinatewise")
+        if np.any(lo == math.inf) or np.any(hi == -math.inf):
+            raise ValueError("box is empty: a lower bound is +inf or an upper bound -inf")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -1,4 +1,5 @@
-"""Where ``checks.run_suites`` runs each suite, and that the place does not change a result.
+"""Where ``checks.run_suites`` runs each suite, and that the place does not change a result;
+and that the two suites that draw kinked points reach kinks and catch a wrong kink kernel.
 
 basic-inequality runs in the calling process; the six sampling suites run
 beside it in forked workers when there is more than one CPU to use.
@@ -7,10 +8,12 @@ beside it in forked workers when there is more than one CPU to use.
 import concurrent.futures
 import multiprocessing
 import os
+import re
 
+import numpy as np
 import pytest
 
-from specopt import checks
+from specopt import checks, specular
 
 
 def _results(seed):
@@ -81,3 +84,20 @@ def test_serial_without_fork(monkeypatch):
     monkeypatch.setenv("SPECOPT_THREADS", "4")
     monkeypatch.setattr(checks, "SUITES", tuple(_pid_suite(s.__name__) for s in checks.SUITES))
     assert {r.detail for r in checks.run_suites("fast", 0)} == {str(os.getpid())}
+
+
+def test_kinked_suites_report_kinks():
+    details = {r.name: r.detail for r in checks.run_suites("fast")}
+    for name in ("ordering-lemma", "subgradient-inequality"):
+        kinks = int(re.search(r"at (\d+) kink coordinates", details[name]).group(1))
+        assert kinks > 0, details[name]
+
+
+@pytest.mark.parametrize("samples", [100, 10_000])
+@pytest.mark.parametrize("kernel", [lambda a, b: 3.0 * (a + b), lambda a, b: a, lambda a, b: (a + b) / 2.0],
+                         ids=["tripled-sum", "plus", "mean"])
+def test_wrong_kink_kernel_fails_the_subgradient_suite(monkeypatch, kernel, samples):
+    # plus and the mean are subgradients too: only the exactness check tells them from afun
+    monkeypatch.setattr(specular, "afun_array", kernel)
+    suite = checks.subgradient_inequality(samples, np.random.default_rng(0))
+    assert not suite.passed, suite.detail

@@ -379,13 +379,15 @@ class TestDiagonalLasso:
     @pytest.mark.parametrize("d,b,name", [
         ([math.nan, 1.0], [1.0, 1.0], "curvatures"), ([math.inf, 1.0], [1.0, 1.0], "curvatures"),
         ([1.0, 1.0], [math.nan, 1.0], "b"), ([1.0, 1.0], [-math.inf, 1.0], "b"),
+        ([1.0], [math.inf], "b"),
     ])
     def test_non_finite_data_rejected(self, d, b, name):
-        # a NaN curvature passed the d <= 0 check and gave a NaN value and minimizer
+        # a NaN curvature passed the d <= 0 check and gave a NaN value and minimizer;
+        # a NaN or infinite b came back from the minimizer as a NaN or infinite coordinate
         with pytest.raises(ValueError, match=name):
             DiagonalLasso(d, b, 0.5)
-        if math.isnan(d[0]):
-            with pytest.raises(ValueError, match=name):
+        if math.isnan(d[0]) or name == "b":
+            with pytest.raises(ValueError, match="b must be finite" if name == "b" else name):
                 diagonal_lasso_minimizer(d, b, 0.5)
 
     @pytest.mark.parametrize("lambda1", [-1.0, math.nan])

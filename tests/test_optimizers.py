@@ -501,6 +501,11 @@ class TestProjection:
         for center in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], math.nan):
             with pytest.raises(ValueError, match="center"):
                 EuclideanBall(np.array(center), 1.0)
+        # a lower bound of +inf or an upper bound of -inf is empty, yet projected to infinity
+        for lo, hi in (([math.inf, 0.0], [math.inf, 1.0]), ([0.0, -math.inf], [1.0, -math.inf]),
+                       (math.inf, math.inf), (-math.inf, -math.inf)):
+            with pytest.raises(ValueError, match="empty"):
+                Box(np.array(lo), np.array(hi))
         # infinite box bounds stay legal: a half-space box
         box = Box(np.array([-math.inf, 0.0]), np.array([0.0, math.inf]))
         assert np.array_equal(box.project(np.array([0.5, -0.5])), [0.0, 0.0])
@@ -545,18 +550,8 @@ class TestBasicInequality:
 
 class TestSubgradientProperty:
     def test_specular_gradient_is_a_subgradient(self):
-        rng = rng_for(13)
-        for _ in range(300):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            p = ElasticNetProblem(rng.standard_normal((m, n)), rng.standard_normal(m),
-                                  float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
-            x = rng.standard_normal(n)
-            if rng.random() < 0.3:
-                x[rng.integers(n)] = 0.0
-            w = rng.standard_normal(n)
-            g = specular_gradient(p, x)
-            fw = p.value(w)
-            assert fw >= p.value(x) + float(g @ (w - x)) - 1e-8 * (1.0 + abs(fw))
+        suite = checks.subgradient_inequality(300, rng_for(13))
+        assert suite.passed, suite.detail
 
     def test_optimality_direction_at_oracle_minimizer(self):
         rng = rng_for(14)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specopt import objectives
+from specopt import checks, objectives
 from specopt.objectives import ElasticNetProblem, sum_abs
 from specopt.scalar import afun_array
 from specopt.specular import (
@@ -236,12 +236,8 @@ class TestFdEstimator:
         assert len(est.last_two) == 2 and est.agreement > 0.0
 
     def test_consistency_with_analytic_oracle(self):
-        for name in objectives.catalog_1d_names():
-            obj = objectives.test_function_1d(name)
-            for t in (-1.5, -0.25, 0.0, 0.4, 2.0):
-                analytic = specular_from_one_sided(obj.one_sided([t], [1.0]), 1.0)
-                est = fd_specular_directional(lambda z: obj.value(z), [t], [1.0])
-                assert est.value == pytest.approx(analytic, abs=1e-5), (name, t)
+        suite = checks.estimator_consistency(50, np.random.default_rng(19))
+        assert suite.passed, suite.detail
 
 
 class TestDirectionalProperties:
@@ -293,21 +289,8 @@ class TestDirectionalProperties:
             assert vnorm * est.value == pytest.approx(direct, abs=1e-5)
 
     def test_ordering_chain_on_random_instances(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            p = ElasticNetProblem(rng.standard_normal((m, n)), rng.standard_normal(m),
-                                  float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
-            x = rng.standard_normal(n)
-            v = rng.standard_normal(n)
-            pair = p.one_sided(x, v)
-            ds = specular_from_one_sided(pair, float(np.linalg.norm(v)))
-            lower = p.value(x) - p.value(x - v)
-            upper = p.value(x + v) - p.value(x)
-            assert lower <= pair.minus + 1e-9
-            assert pair.minus <= ds + 1e-9
-            assert ds <= pair.plus + 1e-9
-            assert pair.plus <= upper + 1e-9
+        suite = checks.ordering_lemma(200, np.random.default_rng(17))
+        assert suite.passed, suite.detail
 
 
 class TestFrechetResidual:
