@@ -60,11 +60,12 @@ def _ridge_value(data, x: np.ndarray, lambda2: float):
     return data + 0.5 * lambda2 * float(x.dot(x))
 
 
-def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) partials; one array returned twice when no coordinate is at a kink."""
+def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float,
+                        sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) partials, sign = np.sign(x); one array returned twice when no coordinate is at a kink."""
     if lambda1 == 0.0:
         return g, g
-    plus = g + lambda1 * np.sign(x)
+    plus = g + lambda1 * sign
     if np.count_nonzero(x) == x.size:  # no entry is 0.0 or -0.0 (NaN counts as nonzero)
         return plus, plus
     zero = x == 0.0
@@ -168,7 +169,8 @@ class ElasticNetProblem(_Separable):
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
-        return _l1_one_sided_basis(self._smooth_gradient_at(x, self.A.dot(x) - self.b), x, self.lambda1)
+        g = self._smooth_gradient_at(x, self.A.dot(x) - self.b)
+        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual A x - b.
@@ -178,7 +180,8 @@ class ElasticNetProblem(_Separable):
         """
         x = _check_dim(x, self.n)
         r = self.A.dot(x) - self.b
-        return self._value_at(x, r), _l1_one_sided_basis(self._smooth_gradient_at(x, r), x, self.lambda1)
+        g = self._smooth_gradient_at(x, r)
+        return self._value_at(x, r), _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
 
     def component(self, j: int) -> "ElasticNetComponent":
         """Sample term f_j (0-based j) with the shared regularizers.
@@ -194,7 +197,7 @@ class ElasticNetProblem(_Separable):
         self._check_index(j)
         x = _check_dim(x, self.n)
         g = _sample_gradient(self.A[j], float(self.b[j]), self.lambda2, x)
-        return _l1_one_sided_basis(g, x, self.lambda1)
+        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
 
     def _check_index(self, j: int) -> None:
         if not 0 <= j < self.m:
@@ -234,7 +237,8 @@ class ElasticNetComponent(_Separable):
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(_sample_gradient(self.a, self.bj, self.lambda2, x), x, self.lambda1)
+        g = _sample_gradient(self.a, self.bj, self.lambda2, x)
+        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
 
 
 def sum_abs(n: int) -> ElasticNetProblem:
@@ -260,7 +264,12 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagonalLasso(_Separable):
-    """Separable strongly convex test problem with a known minimizer."""
+    """Separable strongly convex test problem with a known minimizer.
+
+    value(x) = sum_i d_i (x_i - b_i)^2 / 2 + lambda1 ||x||_1, formed from the
+    smooth gradient g = d (x - b) and s = sign(x), the vectors the partials
+    use, as r.g / 2 + lambda1 x.s with r = x - b.
+    """
 
     d: np.ndarray
     b: np.ndarray
@@ -279,31 +288,32 @@ class DiagonalLasso(_Separable):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
-        object.__setattr__(self, "_half_d", 0.5 * d)
 
     @property
     def dimension(self) -> int:
         return self.d.shape[0]
 
-    def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value(np.add.reduce(self._half_d * (r * r)), x, self.lambda1)
-
     def value(self, x) -> float:
         x = _check_dim(x, self.dimension)
-        return self._value_at(x, x - self.b)
+        r = x - self.b
+        return 0.5 * float(r.dot(self.d * r)) + self.lambda1 * float(x.dot(np.sign(x)))
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (_check_dim(x, self.dimension) - self.b)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1)
+        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1, np.sign(x))
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """(value(x), one_sided_basis(x)) from one residual x - b, bit-identical to separate calls."""
+        """(value(x), one_sided_basis(x)) from one gradient d (x - b) and one sign vector,
+        in the arithmetic of the separate calls, so bit-identical to them."""
         x = _check_dim(x, self.dimension)
         r = x - self.b
-        return self._value_at(x, r), _l1_one_sided_basis(self.d * r, x, self.lambda1)
+        g = self.d * r
+        s = np.sign(x)
+        return (0.5 * float(r.dot(g)) + self.lambda1 * float(x.dot(s)),
+                _l1_one_sided_basis(g, x, self.lambda1, s))
 
     def minimizer(self) -> np.ndarray:
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)

@@ -136,6 +136,8 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    if not eta >= 0.0:  # NaN fails the comparison; a negative eta would step on from a zero gradient
+        raise ValueError("eta must be nonnegative")
     x = np.array(x0, dtype=float, copy=True)
     fc: list[float] = []
     fb: list[float] = []
@@ -377,18 +379,24 @@ def basic_inequality_bound(x0, xstar, schedule_trace) -> np.ndarray:
     convex functions whose kink terms each depend on one coordinate, as in
     the catalog objectives; for a non-separable kink such as max(x1, x2) the
     specular gradient need not be a subgradient, and the bound does not
-    apply.  schedule_trace holds the (h_k, grad_norm_k) pairs: a (k, 2)
-    array, or any iterable of pairs.
+    apply.  x0 and xstar are finite vectors of one shape.  schedule_trace
+    holds the (h_k, grad_norm_k) pairs, each h positive and finite and each
+    norm nonnegative and finite: a (k, 2) array, or any iterable of pairs.
     """
     if not isinstance(schedule_trace, np.ndarray):
         schedule_trace = list(schedule_trace)
     trace = np.asarray(schedule_trace, dtype=float)
     if trace.ndim != 2 or trace.shape[0] == 0 or trace.shape[1] != 2:
         raise ValueError("schedule trace must be a nonempty sequence of (h, grad_norm) pairs")
+    hs, gs = trace[:, 0], trace[:, 1]
+    if not (np.all((hs > 0.0) & (hs < math.inf)) and np.all((gs >= 0.0) & (gs < math.inf))):  # NaN fails
+        raise ValueError("each step size h must be positive and finite, "
+                         "each gradient norm nonnegative and finite")
     x0 = np.asarray(x0, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
+    if x0.ndim != 1 or x0.shape != xstar.shape or not (np.isfinite(x0).all() and np.isfinite(xstar).all()):
+        raise ValueError(f"x0 and xstar must be finite vectors of one shape, got {x0.shape} and {xstar.shape}")
     r2 = float(np.dot(x0 - xstar, x0 - xstar))
-    hs, gs = trace[:, 0], trace[:, 1]
     num = r2 + np.cumsum(hs * hs * gs * gs)
     den = 2.0 * np.cumsum(hs)
     return num / den

@@ -128,7 +128,8 @@ def _l1_partials(g, x, lambda1):
 
 def reference_oracle(p) -> Oracle:
     """The catalog objective p in the residual form, every product ``@`` and every sum
-    ``ndarray.sum`` in np.float64; a zero ridge weight leaves its term out.
+    ``ndarray.sum`` in np.float64; a zero ridge weight leaves its term out.  The diagonal
+    lasso's value is r.g / 2 + lambda1 x.sign(x), with r = x - b and g = d r its gradient.
 
     For the elastic net this is the library's arithmetic except in two cases,
     neither of which reaches a run's record: on a view with negative strides
@@ -139,7 +140,11 @@ def reference_oracle(p) -> Oracle:
     if isinstance(p, DiagonalLasso):
         def smooth(x):
             r = x - p.b
-            return ((0.5 * p.d) * (r * r)).sum(), p.d * r
+            g = p.d * r
+            return 0.5 * (r @ g), g
+
+        def l1(x):
+            return x @ np.sign(x)
         sample = None
     else:
         A, b, m, lambda2 = p.A, p.b, p.m, p.lambda2
@@ -151,13 +156,16 @@ def reference_oracle(p) -> Oracle:
                 data = data + 0.5 * lambda2 * (x @ x)
             return data, A.T @ r / m + lambda2 * x
 
+        def l1(x):
+            return np.abs(x).sum()
+
         def sample(j, x):
             a = A[j]
             return _l1_partials(a * (float(a @ x) - float(b[j])) + lambda2 * x, x, p.lambda1)
 
     def full(x):
         value, g = smooth(x)
-        return float(value) + p.lambda1 * float(np.abs(x).sum()), _l1_partials(g, x, p.lambda1)
+        return float(value) + p.lambda1 * float(l1(x)), _l1_partials(g, x, p.lambda1)
 
     return Oracle(lambda x: full(x)[0], full, sample)
 

@@ -266,7 +266,7 @@ class TestFusedOracle:
         g = np.array([0.5, -1.5, 2.0])
         zero = x == 0.0
         with np.errstate(invalid="ignore"):
-            plus, minus = objectives._l1_one_sided_basis(g, x, 0.7)
+            plus, minus = objectives._l1_one_sided_basis(g, x, 0.7, np.sign(x))
             smooth = g + 0.7 * np.sign(x)
         assert (plus is minus) == (not zero.any())
         assert plus.tobytes() == np.where(zero, g + 0.7, smooth).tobytes()
@@ -280,9 +280,24 @@ class TestFusedOracle:
             for _ in range(50):
                 x = rng.standard_normal(11) * 10.0 ** rng.uniform(-3, 3)
                 x[rng.random(11) < 0.3] = 0.0
-                expected = float(np.sum(0.5 * d * (x - b) ** 2) + lambda1 * np.abs(x).sum())
+                r = x - b
+                expected = float(0.5 * (r @ (d * r))) + lambda1 * float(x @ np.sign(x))
                 assert lasso.value(x) == expected
                 assert lasso.value_and_one_sided_basis(x)[0] == expected
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.8])
+    def test_lasso_value_within_ulps_of_the_summed_formula(self, lambda1):
+        # the value from the gradient and sign vector sums the same nonnegative terms in
+        # another order, so it stays within a few ulp of the elementwise sum
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            n = int(rng.integers(2, 12))
+            d, b = rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n)
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            x[rng.random(n) < 0.3] = 0.0
+            x[0], x[-1] = 0.0, -0.0
+            summed = float(np.sum(0.5 * d * (x - b) ** 2) + lambda1 * np.abs(x).sum())
+            assert abs(DiagonalLasso(d, b, lambda1).value(x) - summed) <= 4 * np.spacing(summed)
 
     def test_rejects_wrong_dimension(self):
         p = ElasticNetProblem(np.eye(2), np.zeros(2), 0.1, 0.1)

@@ -131,6 +131,18 @@ class TestSpegRuns:
         assert rec.x_best[0] == 0.0
         assert list(rec.grad_norm) == [1.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("eta", [-1.0, math.nan])
+    def test_negative_or_nan_eta_rejected(self, eta):
+        # at the zero gradient of x0 = b these ran on into a ZeroDivisionError
+        lasso = DiagonalLasso(np.ones(2), [1.0, 2.0], 0.0)
+        sched = StepSchedule.normalized_diminishing(1.0)
+        net = ElasticNetProblem(np.eye(2), [1.0, 2.0], 0.0, 0.0)
+        for run in (lambda: speg_run(lasso, [1.0, 2.0], sched, 5, eta=eta),
+                    lambda: sspeg_run(net, [1.0, 2.0], sched, 5, eta=eta, rng=rng_for(1)),
+                    lambda: hspeg_run(net, [1.0, 2.0], sched, 2, 5, eta=eta, rng=rng_for(1))):
+            with pytest.raises(ValueError, match="eta"):
+                run()
+
     def test_quadratic_one_exact_step(self):
         rec = speg_run(half_square_1d(), [1.0], StepSchedule.constant(1.0), 10)
         assert rec.status == "stationary"
@@ -547,6 +559,24 @@ class TestBasicInequality:
         expected = (1.0 + 0.01 * ks) / (0.2 * ks)
         assert np.allclose(bounds, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("x0,xstar", [([1.0, 2.0, 3.0], [1.0]), (np.ones((2, 2)), np.zeros((2, 2))),
+                                          (1.0, 0.0), ([1.0, math.nan], [0.0, 0.0]),
+                                          ([1.0, 2.0], [math.inf, 0.0])])
+    def test_points_must_be_finite_vectors_of_one_shape(self, x0, xstar):
+        # a short xstar broadcast to the bound [25.05]; a 2-D x0 raised TypeError
+        with pytest.raises(ValueError, match="vectors of one shape"):
+            basic_inequality_bound(x0, xstar, [(0.1, 1.0)])
+
+    @pytest.mark.parametrize("pair", [(-0.1, 1.0), (0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                      (0.1, -1.0), (0.1, math.nan), (0.1, math.inf)])
+    def test_pairs_must_hold_a_positive_step_and_a_nonnegative_norm(self, pair):
+        # h = -0.1 gave the negative "bound" [-5.05], a NaN h the bound [nan]
+        with pytest.raises(ValueError, match="positive and finite"):
+            basic_inequality_bound([1.0, 2.0, 3.0], [1.0, 2.0, 1.0], [(0.1, 1.0), pair])
+
+    def test_zero_gradient_norm_is_a_valid_pair(self):
+        assert basic_inequality_bound([1.0], [0.0], [(1.0, 0.0)]).tolist() == [0.5]
+
 
 class TestSubgradientProperty:
     def test_specular_gradient_is_a_subgradient(self):
@@ -665,9 +695,10 @@ def _scaled(scale):
 
 
 class TestOneDotPerStep:
-    """The loop takes ||g|| from the smooth-point screen's dot and the objectives reduce with
-    np.add.reduce; every record equals, bit for bit, the reference loop's over the reference
-    oracle, which reduces with ndarray.sum and takes sqrt(g.g) itself."""
+    """The loop takes ||g|| from the smooth-point screen's dot, the elastic net reduces with
+    np.add.reduce and the lasso forms its value with two dots; every record equals, bit for bit,
+    the reference loop's over the reference oracle, which reduces with ndarray.sum and ``@``
+    and takes sqrt(g.g) itself."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case,method", _BIT_PARAMS)
@@ -688,6 +719,43 @@ class TestOneDotPerStep:
         assert runs["kink-1e13"].status == "stationary" and list(runs["kink-1e13"].grad_norm) == [0.0]
         for case in ("kinked", "kinked-lasso", "no-l1", "no-l1-lasso"):
             assert runs[case].status == "max_iters" and np.all(np.isfinite(runs[case].grad_norm)), case
+
+
+class _SummedLasso:
+    """A diagonal lasso whose value is summed as the library summed it before it formed the
+    value from the gradient and sign vector: np.add.reduce(0.5 d (r * r)) + lambda1
+    np.add.reduce(|x|); its partials are the lasso's own."""
+
+    def __init__(self, lasso):
+        self.lasso, self.dimension = lasso, lasso.dimension
+
+    def value_and_one_sided_basis(self, x):
+        lasso = self.lasso
+        r = x - lasso.b
+        f = float(np.add.reduce((0.5 * lasso.d) * (r * r))) + lasso.lambda1 * float(np.add.reduce(np.abs(x)))
+        return f, lasso.one_sided_basis(x)
+
+
+class TestLassoValueFromSign:
+    """A step reads only the partials, so forming the lasso's value from its gradient and sign
+    vector leaves every step size, gradient norm and status of a run as they were, bit for bit."""
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("method", ["SPEG-s", "GD", "Adam"])
+    def test_steps_match_the_summed_value_bitwise(self, method, lambda1):
+        rng = rng_for(30)
+        for _ in range(10):
+            n = int(rng.integers(2, 12))
+            lasso = DiagonalLasso(rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n), lambda1)
+            x0 = rng.standard_normal(n)
+            x0[rng.random(n) < 0.4] = 0.0
+            x0[0], x0[-1] = 0.0, -0.0
+            rec = run_library(method, lasso, x0, Rules(300))
+            old = run_library(method, _SummedLasso(lasso), x0, Rules(300))
+            assert rec.h_trace.tobytes() == old.h_trace.tobytes()
+            assert rec.grad_norm.tobytes() == old.grad_norm.tobytes()
+            assert rec.status == old.status
+            assert np.all(np.abs(rec.f_current - old.f_current) <= 4 * np.spacing(old.f_current))
 
 
 def _dot_cases():
