@@ -36,15 +36,25 @@ from .objectives import catalog_1d_names, sum_abs, test_function_1d
 from .specular import specular_gradient
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a field given twice (json would keep the last)."""
+    names = [name for name, _ in pairs]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"duplicate config field {max(names, key=names.count)!r}")
+    return dict(pairs)
+
+
 def _load_config(path: str, seed=None, trials=None) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}: malformed JSON: {err.msg}") from err
+    except ValueError as err:  # a duplicate field, or an integer past Python's digit limit
+        raise ConfigError(f"{path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if seed is not None:

@@ -127,16 +127,15 @@ def bfun(a: float, b: float, c: float) -> float:
 
 
 def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized afun for finite slope arrays, bit-identical to afun entry by entry.
+    """Vectorized afun for extended-real slope arrays, bit-identical to afun entry by entry.
 
-    Same branch structure as the scalar form, including the clamp of
-    round-off to [min, max] of the arguments.  Entries with a slope past
-    1e150, where alpha*beta can overflow, are handed to afun itself.
+    Same branch structure and round-off clamp as the scalar form; entries with a
+    slope past 1e150 (alpha*beta can overflow), infinite ones too, go to afun.  NaN is rejected.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
-        raise ValueError("slopes must be finite")
+    if np.isnan(alpha).any() or np.isnan(beta).any():
+        raise ValueError("slopes must not be NaN")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = alpha + beta
         e = alpha * beta - 1.0
@@ -144,7 +143,8 @@ def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         grow = e >= 0.0
         out = np.where(grow, (e + r) / np.where(s == 0.0, 1.0, s), s / (r - e))
     lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)
-    out = np.clip(np.where(alpha == beta, alpha, out), lo, hi, out=out)
+    # the clamp is afun's min(max(out, lo), hi): a tie keeps out, signed zeros included
+    out = np.where(alpha == beta, alpha, np.where(out < lo, lo, np.where(out > hi, hi, out)))
     huge = (lo < -_HUGE) | (hi > _HUGE)
     if huge.any():
         out[huge] = [afun(a, b) for a, b in zip(alpha[huge].tolist(), beta[huge].tolist())]

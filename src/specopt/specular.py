@@ -58,15 +58,11 @@ def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray,
     """(g, ||g||) for one-sided partials of at most one dimension, along unit directions.
 
     Where the two partials agree g is the classical derivative, plus itself;
-    afun_array runs on the kink entries only.  When both arguments are one
-    array (no kink anywhere), g is that array, the same bits without a copy,
-    once it passes the smooth-point screen: its squared norm must be below
-    INFINITY_THRESHOLD ** 2.  That sum is at least the threshold squared
-    whenever one entry is at or past the threshold (and NaN when one is NaN),
-    so the screen never admits an entry the general path would promote or
-    reject; what it turns away takes the general path.  The screen's sum is
-    g.g, so the norm is its square root.  Either way the norm is sqrt(g.g),
-    the bits of ``np.linalg.norm(g)``.
+    afun_array runs on the kink entries only.  One array passed as both, with
+    g.g below INFINITY_THRESHOLD ** 2 (which a NaN or an entry at or past the
+    threshold fails), is g itself, no copy.  The norm is sqrt(g.g), the bits of
+    ``np.linalg.norm(g)``: +inf where a pair is infinite with one sign and NaN
+    where a partial is NaN, the partials that cannot be assembled.
     """
     plus = np.asarray(plus, dtype=float)
     if plus is minus and plus.ndim <= 1:
@@ -78,17 +74,20 @@ def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray,
 
 
 def _assemble(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """The general path of the assembly: a new array, afun_array on the kink entries only."""
+    """The general path of the assembly: a new array, afun_array on the kink entries only.
+
+    Partials at or past INFINITY_THRESHOLD are promoted to signed infinity, so
+    (2e12, 3e12) agrees; an agreeing pair gives its partial, a NaN partial NaN.
+    """
     if np.abs(plus).max(initial=0.0) < INFINITY_THRESHOLD and np.abs(minus).max(initial=0.0) < INFINITY_THRESHOLD:
         out = np.array(plus)  # a writable copy, even when 0-d
         kink = out != minus
-        if kink.any():
-            out[kink] = afun_array(out[kink], minus[kink])
-        return out
-    out = np.empty(plus.shape, dtype=float)
-    flat_p, flat_m, flat_o = plus.ravel(), minus.ravel(), out.ravel()
-    for i in range(flat_p.size):
-        flat_o[i] = specular_from_one_sided(OneSidedPair(flat_p[i], flat_m[i]), 1.0)
+    else:  # NaN fails the guard too; it is neither promoted nor a kink
+        out, minus = (np.where(np.abs(a) >= INFINITY_THRESHOLD, np.copysign(np.inf, a), a) for a in (plus, minus))
+        out[np.isnan(minus)] = math.nan
+        kink = (out != minus) & ~np.isnan(out)
+    if kink.any():
+        out[kink] = afun_array(out[kink], minus[kink])
     return out
 
 
@@ -123,7 +122,13 @@ def specular_gradient(obj, x) -> np.ndarray:
     plus, minus = obj.one_sided_basis(np.asarray(x, dtype=float))
     # the smooth-point screen may overflow on huge partials; the general path takes those
     with np.errstate(over="ignore"):
-        return specular_with_norm(plus, minus)[0]
+        g, norm = specular_with_norm(plus, minus)
+    if math.isnan(norm):
+        raise ValueError("one-sided derivatives must not be NaN")
+    if math.isinf(norm):
+        raise HypothesisViolationError(f"one-sided derivatives are both {g[np.isinf(g)][0]:+g}; "
+                                       "specular derivative does not exist")
+    return g
 
 
 def specular_jacobian(components, x) -> np.ndarray:

@@ -86,6 +86,21 @@ def test_serial_without_fork(monkeypatch):
     assert {r.detail for r in checks.run_suites("fast", 0)} == {str(os.getpid())}
 
 
+def test_unknown_level_rejected():
+    with pytest.raises(ValueError, match="level must be 'fast' or 'full'"):
+        checks.run_suites("medium")
+
+
+@pytest.mark.parametrize("kernel,broken", [(lambda a, b: a, "symmetry"),
+                                           (lambda a, b: max(a, b) + 1.0, "betweenness")],
+                         ids=["symmetry", "betweenness"])
+def test_scalar_identities_name_the_broken_identity(monkeypatch, kernel, broken):
+    monkeypatch.setattr(checks, "afun", kernel)
+    suite = checks.scalar_identities(10, np.random.default_rng(0))
+    assert not suite.passed
+    assert suite.detail.startswith(f"{broken} broken at (")
+
+
 def test_kinked_suites_report_kinks():
     details = {r.name: r.detail for r in checks.run_suites("fast")}
     for name in ("ordering-lemma", "subgradient-inequality"):

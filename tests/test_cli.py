@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import specopt.specular
 from specopt import checks, cli
 from specopt.cli import main
-from specopt.harness import ExperimentConfig, run_trials
+from specopt.harness import ConfigError, ExperimentConfig, run_trials
 from specopt.optimizers import RunRecord
 
 BASE_CONFIG = {
@@ -109,6 +109,44 @@ class TestRunCommand:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        *(json.dumps({**BASE_CONFIG, name: 10 ** 400}) for name in ("lambda1", "lambda2", "schedule_c")),
+        *(json.dumps({**BASE_CONFIG, name: 10 ** 20}) for name in ("m", "n", "trials", "max_iters", "switch_k")),
+        json.dumps(BASE_CONFIG)[:-1] + ', "lambda1": 1' + "0" * 5000 + "}",  # past the digit limit
+        json.dumps(BASE_CONFIG)[:-1] + ', "m": 7}',  # a field given twice
+    ], ids=["lambda1", "lambda2", "schedule_c", "m", "n", "trials", "max_iters", "switch_k",
+            "digit-limit", "duplicate"])
+    def test_out_of_range_or_ambiguous_fields_are_config_errors(self, tmp_path, capsys, monkeypatch, text):
+        # each of these once ended in a traceback, or (a duplicate field) was taken silently
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_line(capsys.readouterr().err, "config error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_trials_override_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o"),
+                "--trials", "100000000000000000000"]
+        assert main(argv) == 1
+        _assert_one_line(capsys.readouterr().err,
+                         "config error: trials must lie in [1, 2**63), got 100000000000000000000")
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_line(capsys.readouterr().err, f"config error: cannot read config {cfg}: ")
+
+    def test_field_name_that_is_not_a_string(self):
+        with pytest.raises(ConfigError, match="^unknown config fields: 1$"):
+            ExperimentConfig.from_dict({1: 2})
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_out_on_a_file_fails_before_any_trial(self, tmp_path, capsys, monkeypatch, out):
@@ -679,7 +717,7 @@ class TestSpecgradCommand:
 
     @pytest.mark.parametrize("point", ["1e12", "1e200"])
     def test_point_without_a_gradient_rejected(self, capsys, point):
-        # the slope 2 x of quad reaches INFINITY_THRESHOLD on both sides, so assembly raises
+        # the slope 2 x of quad reaches INFINITY_THRESHOLD on both sides, so specular_gradient raises
         assert main(["specgrad", "quad", point]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -106,6 +106,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(self.BASE, **patch))
 
+    @pytest.mark.parametrize("patch,message", [
+        ({"methods": ["GD", "Adam", "GD"]}, "duplicate method names"),
+        ({"switch_k": -1}, r"switch_k must lie in \[0, 2\*\*63\), got -1"),
+    ])
+    def test_duplicate_methods_or_negative_switch_rejected(self, patch, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(dict(self.BASE, **patch))
+
     def test_integer_reals_accepted(self):
         cfg = ExperimentConfig.from_dict(dict(self.BASE, lambda1=0, lambda2=2, schedule_c=4))
         assert (cfg.lambda1, cfg.lambda2, cfg.schedule_c) == (0, 2, 4)

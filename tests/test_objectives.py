@@ -62,6 +62,10 @@ class TestElasticNetValue:
         with pytest.raises(ValueError):
             ElasticNetProblem(np.eye(2), np.zeros(2), -0.1, 0.0)
 
+    def test_vector_data_rejected(self):
+        with pytest.raises(ValueError, match="A must be a nonempty m x n matrix"):
+            ElasticNetProblem(np.ones(3), np.zeros(3), 0.0, 0.0)
+
 
 @pytest.mark.parametrize("make", [
     lambda w: ElasticNetProblem(np.ones((1, 2)), np.ones(1), w, 1.0),
@@ -386,6 +390,10 @@ class TestDiagonalLasso:
 
     def test_threshold_clips_to_zero(self):
         assert diagonal_lasso_minimizer([1.0], [0.5], 1.0)[0] == 0.0
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="d and b must be vectors of equal length"):
+            DiagonalLasso(np.ones(3), np.zeros(2), 0.5)
 
     def test_invalid_curvature(self):
         with pytest.raises(ValueError):

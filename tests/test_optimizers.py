@@ -37,6 +37,7 @@ from test_bit_identity import (
     run_reference,
     separate_oracle,
 )
+from test_specular import FixedPartials
 
 
 def half_square_1d():
@@ -131,6 +132,10 @@ class TestSpegRuns:
         assert rec.x_best[0] == 0.0
         assert list(rec.grad_norm) == [1.0, 1.0, 0.0]
 
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            speg_run(half_square_1d(), [1.0], StepSchedule.normalized_diminishing(4.0), -1)
+
     @pytest.mark.parametrize("eta", [-1.0, math.nan])
     def test_negative_or_nan_eta_rejected(self, eta):
         # at the zero gradient of x0 = b these ran on into a ZeroDivisionError
@@ -190,8 +195,8 @@ class TestSpegRuns:
         assert np.all(np.isfinite(rec.f_current[:-1]))
 
     def test_unassemblable_gradient_still_records_value(self):
-        # at x = 2e12 both one-sided partials promote to +inf, so assembly
-        # raises; the row still carries the (finite) objective value
+        # at x = 2e12 both one-sided partials promote to +inf, so the norm is
+        # infinite; the row still carries the (finite) objective value
         p = ElasticNetProblem(np.eye(1), np.zeros(1), 0.5, 0.0)
         x0 = np.array([2e12])
         sched = StepSchedule.normalized_diminishing(4.0)
@@ -235,6 +240,14 @@ class TestSpegRuns:
         rec = speg_run(NanMinus(), np.zeros(2), StepSchedule.normalized_diminishing(4.0), 10)
         assert rec.status == "numerical_failure"
         assert len(rec) == 1 and math.isnan(rec.grad_norm[0])
+
+    def test_nan_beside_an_infinite_pair_records_nan_in_either_order(self):
+        # a NaN partial makes the norm NaN whatever else the partials hold
+        sched = StepSchedule.normalized_diminishing(4.0)
+        for plus, minus in (([np.inf, 1.0], [np.inf, np.nan]), ([np.nan, np.inf], [1.0, 2e12])):
+            rec = speg_run(FixedPartials(np.array(plus), np.array(minus)), np.zeros(2), sched, 10)
+            assert rec.status == "numerical_failure"
+            assert len(rec) == 1 and math.isnan(rec.grad_norm[0])
 
     def test_malformed_partials_still_raise(self):
         # only NaN partials end a run quietly; partials of the wrong shape are the objective's bug
@@ -410,8 +423,11 @@ class TestSmoothFastPath:
         with np.errstate(over="ignore"):  # the screen's sum overflows
             for g in (np.array([1e200, 1e200]), np.array([np.inf, 1.0]), np.array([np.nan, 1.0])):
                 for minus in (g, g.copy()):
-                    with pytest.raises(ValueError):  # promoted to +inf on both sides, or NaN
-                        specular.specular_with_norm(g, minus)
+                    # promoted to +inf on both sides: an infinite norm; NaN: a NaN norm
+                    norm = specular.specular_with_norm(g, minus)[1]
+                    assert math.isnan(norm) if np.isnan(g).any() else norm == math.inf
+                    with pytest.raises(ValueError):
+                        specular_gradient(FixedPartials(g, minus), g)
 
 
 class TestHybridRuns:
@@ -419,6 +435,16 @@ class TestHybridRuns:
         rng = rng_for(seed)
         return (ElasticNetProblem(rng.standard_normal((5, 4)), rng.standard_normal(5), 0.5, 0.5),
                 rng.standard_normal(4))
+
+    def test_negative_switch_rejected(self):
+        p, x0 = self._problem()
+        with pytest.raises(ValueError, match="switch_k must be nonnegative"):
+            hspeg_run(p, x0, StepSchedule.normalized_diminishing(4.0), switch_k=-1, max_iters=10, rng=rng_for(1))
+
+    def test_switch_before_the_cap_needs_a_generator(self):
+        p, x0 = self._problem()
+        with pytest.raises(ValueError, match="hspeg_run needs a seeded random generator"):
+            hspeg_run(p, x0, StepSchedule.normalized_diminishing(4.0), switch_k=3, max_iters=10)
 
     def test_switch_at_cap_equals_full_method(self):
         p, x0 = self._problem()

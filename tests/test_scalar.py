@@ -147,12 +147,19 @@ def test_array_kernel_matches_scalar_bitwise():
         vec = afun_array(alpha, beta)
         scal = np.array([afun(a, b) for a, b in zip(alpha, beta)])
         assert np.array_equal(vec, scal)
+    # signed zeros and subnormals, every ordered pair, compared by their bits:
+    # the clamp must keep the computed value on a tie, as afun's min(max(...)) does
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1.0, -1.0])
+    alpha, beta = np.repeat(tiny, tiny.size), np.tile(tiny, tiny.size)
+    scal = np.array([afun(a, b) for a, b in zip(alpha.tolist(), beta.tolist())])
+    assert afun_array(alpha, beta).tobytes() == scal.tobytes()
 
 
 def test_array_kernel_rejects_nan():
     with pytest.raises(ValueError):
         afun_array(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
-    # the kernel takes finite slopes only; infinite ones are rejected too
-    for alpha, beta in ((math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (-math.inf, math.inf)):
-        with pytest.raises(ValueError):
-            afun_array(np.array([alpha]), np.array([beta]))
+    # infinite slopes are afun's: its limiting values, bit for bit
+    for alpha, beta in ((math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (-math.inf, math.inf),
+                        (math.inf, -0.0), (-1e200, math.inf)):
+        got = afun_array(np.array([alpha]), np.array([beta]))
+        assert got.tobytes() == np.array([afun(alpha, beta)]).tobytes()

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specopt import checks, objectives
+from specopt import checks, objectives, specular
 from specopt.objectives import ElasticNetProblem, sum_abs
-from specopt.scalar import afun_array
+from specopt.scalar import INFINITY_THRESHOLD, afun_array
 from specopt.specular import (
     FdEstimate,
     HypothesisViolationError,
@@ -21,9 +22,24 @@ from specopt.specular import (
     specular_jacobian,
     specular_with_norm,
 )
+from test_bit_identity import reference_gradient
 
 INF = math.inf
 AFUN_2_1 = 1.387425886722793
+NO_DERIVATIVE = "one-sided derivatives are both [+-]inf; specular derivative does not exist"
+
+
+class FixedPartials:
+    """The zero function with two fixed arrays as its one-sided partials at every point."""
+
+    def __init__(self, plus, minus):
+        self.plus, self.minus = plus, minus
+
+    def value(self, x):
+        return 0.0
+
+    def one_sided_basis(self, x):
+        return self.plus, self.minus
 
 
 class TestAssembly:
@@ -93,13 +109,32 @@ class TestAssembly:
         assert np.array_equal(specular_with_norm(plus[equal], minus[equal])[0], plus[equal])
 
     def test_kink_masked_assembly_keeps_fallbacks(self):
+        # partials that cannot be assembled give a norm that is not finite, and the gradient raises
+        nan_pair = (np.array([1.0, math.nan]), np.array([1.0, 2.0]))
+        assert math.isnan(specular_with_norm(*nan_pair)[1])
         with pytest.raises(ValueError):
-            specular_with_norm(np.array([1.0, math.nan]), np.array([1.0, 2.0]))
+            specular_gradient(FixedPartials(*nan_pair), np.zeros(2))
         out = specular_with_norm(np.array([2e12, 1.0]), np.array([1.0, 1.0]))[0]
         assert out[1] == 1.0
         assert out[0] == specular_from_one_sided(OneSidedPair(2e12, 1.0), 1.0)
-        with pytest.raises(HypothesisViolationError):
-            specular_with_norm(np.array([INF, 1.0]), np.array([2e12, 1.0]))
+        same_sign = (np.array([INF, 1.0]), np.array([2e12, 1.0]))
+        assert specular_with_norm(*same_sign)[1] == INF
+        with pytest.raises(HypothesisViolationError, match=NO_DERIVATIVE):
+            specular_gradient(FixedPartials(*same_sign), np.zeros(2))
+
+    def test_kernel_sees_only_the_pairs_that_differ_after_promotion(self, monkeypatch):
+        # two huge partials of one sign agree once promoted, so g keeps their infinity
+        # without the kernel; only the pairs that still differ reach afun_array
+        seen = []
+        kernel = specular.afun_array
+        monkeypatch.setattr(specular, "afun_array",
+                            lambda a, b: seen.append((a.tolist(), b.tolist())) or kernel(a, b))
+        plus = np.array([2e12, INF, 1.0, -3e12, 5.0, -0.0])
+        minus = np.array([3e12, 1e12, 1.0, INF, 4.0, 0.0])
+        g, norm = specular_with_norm(plus, minus)
+        assert seen == [([-INF, 5.0], [INF, 4.0])]
+        assert g.tobytes() == np.array([INF, INF, 1.0, 0.0, kernel(5.0, 4.0), -0.0]).tobytes()
+        assert norm == INF
 
     @pytest.mark.parametrize("vnorm", [1.0])
     def test_shared_partials_equal_copied_partials_bitwise(self, vnorm):
@@ -114,17 +149,59 @@ class TestAssembly:
             shared = specular_with_norm(p, p)[0]
             assert shared.tobytes() == specular_with_norm(p, p.copy())[0].tobytes()
             assert shared.tobytes() == (vnorm * (p / vnorm)).tobytes()
+        x = np.zeros(2)
         for at in (np.array([1.0, 1e12]), np.array([-1e12, 1.0]), np.array([INF, 0.0])):
-            with pytest.raises(HypothesisViolationError):
-                specular_with_norm(at, at)
-            with pytest.raises(HypothesisViolationError):
-                specular_with_norm(at, at.copy())
+            shared, shared_norm = specular_with_norm(at, at)
+            copied, copied_norm = specular_with_norm(at, at.copy())
+            assert shared_norm == copied_norm == INF
+            assert shared.tobytes() == copied.tobytes()
+            with pytest.raises(HypothesisViolationError, match=NO_DERIVATIVE):
+                specular_gradient(FixedPartials(at, at), x)
+            with pytest.raises(HypothesisViolationError, match=NO_DERIVATIVE):
+                specular_gradient(FixedPartials(at, at.copy()), x)
         at = np.array([1.0, math.nan])
+        assert math.isnan(specular_with_norm(at, at)[1]) and math.isnan(specular_with_norm(at, at.copy())[1])
         with pytest.raises(ValueError) as shared_err:
-            specular_with_norm(at, at)
+            specular_gradient(FixedPartials(at, at), x)
         with pytest.raises(ValueError) as copied_err:
-            specular_with_norm(at, at.copy())
+            specular_gradient(FixedPartials(at, at.copy()), x)
         assert (type(shared_err.value), str(shared_err.value)) == (type(copied_err.value), str(copied_err.value))
+
+
+# partials on both sides of the promotion threshold, infinite, signed zero, subnormal, NaN
+_partial = st.one_of(
+    st.sampled_from([INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 1e-310, INFINITY_THRESHOLD,
+                     -INFINITY_THRESHOLD, np.nextafter(INFINITY_THRESHOLD, 0.0), 2e12, -3e12, 1.0, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.copysign, st.floats(min_value=1e11, max_value=1e13), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_partial, _partial), max_size=6), st.booleans())
+def test_assembly_equals_the_scalar_reference(pairs, agree):
+    # sqrt(g.g) is inf exactly where the entry-by-entry reference finds a pair infinite
+    # with one sign, NaN where it meets a NaN partial (the reference raises at whichever
+    # comes first), and otherwise g has the reference's bits; a shared array gives the
+    # copied array's bits.
+    plus = np.array([p for p, _ in pairs], dtype=float)
+    minus = plus.copy() if agree else np.array([m for _, m in pairs], dtype=float)
+    with np.errstate(over="ignore"):  # the shared array's screen may overflow
+        g, norm = specular_with_norm(plus, minus)
+        shared = specular_with_norm(plus, plus) if agree else None
+    if shared is not None:
+        assert shared[0].tobytes() == g.tobytes()
+        assert np.float64(shared[1]).tobytes() == np.float64(norm).tobytes()
+    try:
+        ref = reference_gradient(plus, minus)
+    except HypothesisViolationError:
+        assert norm == INF or (math.isnan(norm) and (np.isnan(plus).any() or np.isnan(minus).any()))
+        return
+    except ValueError:
+        assert math.isnan(norm)
+        return
+    assert g.tobytes() == ref.tobytes()
+    assert np.float64(norm).tobytes() == np.linalg.norm(ref).tobytes()
 
 
 class TestGradient:
@@ -165,6 +242,12 @@ class TestJacobian:
     def test_abs_at_kink(self):
         jac = specular_jacobian([objectives.test_function_1d("abs")], [0.0])
         assert jac.shape == (1, 1) and jac[0, 0] == 0.0
+
+    def test_message_names_the_component(self):
+        smooth = FixedPartials(np.ones(2), np.ones(2))
+        unassemblable = FixedPartials(np.array([1.0, INF]), np.array([1.0, 2e12]))
+        with pytest.raises(HypothesisViolationError, match=f"^component 1, {NO_DERIVATIVE}$"):
+            specular_jacobian([smooth, unassemblable], np.zeros(2))
 
     def test_mixed_kink_and_smooth(self):
         maxaff = objectives.test_function_1d("maxaffine")
