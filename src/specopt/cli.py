@@ -14,7 +14,8 @@ the same seed produce byte-identical stats and trajectories.  The CSV rows of
 each trial are formatted in the worker that ran it, and a bundle's files are
 renamed into place only once all of them are written.
 Exit codes: 0 success, 1 invalid input (arguments, config, SPECOPT_THREADS or
-an output path; one line on stderr), 2 finished with failed cells.
+an output path) or a run that does not fit in memory (one line on stderr),
+2 finished with failed cells.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; every invalid input is exit 1 with one line on stderr."""
+    """Run one command; every invalid input, and running out of memory, is exit 1 with one line on stderr."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -311,6 +312,8 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
     except (_UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+    except MemoryError as err:  # a size numpy accepts but this machine cannot hold
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
     return 1
 
 

@@ -40,6 +40,8 @@ GEOMETRIC_RATIO = 0.5
 # integer field -> (least, bits), its range [least, 2**bits): a count fits int64, as len() needs
 _INT_FIELDS = dict(m=(1, 63), n=(1, 63), trials=(1, 63), max_iters=(1, 63), switch_k=(0, 63), seed=(0, 64))
 _REAL_FIELDS = ("lambda1", "lambda2", "schedule_c")
+# the most entries of a float64 array numpy can address, 8 bytes each; a larger m x n A is refused
+_MAX_MATRIX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 class ConfigError(ValueError):
@@ -66,6 +68,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if not least <= value < 2 ** bits:
                 raise ConfigError(f"{name} must lie in [{least}, 2**{bits}), got {value}")
+        if self.m * self.n > _MAX_MATRIX_ENTRIES:
+            raise ConfigError(f"m * n must be at most {_MAX_MATRIX_ENTRIES} (the largest float64 matrix "
+                              f"numpy can address), got {self.m * self.n}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             if (not isinstance(value, (int, float)) or isinstance(value, bool)

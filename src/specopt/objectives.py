@@ -60,12 +60,12 @@ def _ridge_value(data, x: np.ndarray, lambda2: float):
     return data + 0.5 * lambda2 * float(x.dot(x))
 
 
-def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float,
-                        sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) partials, sign = np.sign(x); one array returned twice when no coordinate is at a kink."""
+def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) partials, g + copysign(lambda1, x) off the kinks: lambda1 sign(x) bit for bit at
+    nonzero numbers, and every catalog g_i at a NaN x_i is NaN; one array twice when no x_i is at a kink."""
     if lambda1 == 0.0:
         return g, g
-    plus = g + lambda1 * sign
+    plus = g + np.copysign(lambda1, x)
     if np.count_nonzero(x) == x.size:  # no entry is 0.0 or -0.0 (NaN counts as nonzero)
         return plus, plus
     zero = x == 0.0
@@ -170,7 +170,7 @@ class ElasticNetProblem(_Separable):
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
         g = self._smooth_gradient_at(x, self.A.dot(x) - self.b)
-        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
+        return _l1_one_sided_basis(g, x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual A x - b.
@@ -181,7 +181,7 @@ class ElasticNetProblem(_Separable):
         x = _check_dim(x, self.n)
         r = self.A.dot(x) - self.b
         g = self._smooth_gradient_at(x, r)
-        return self._value_at(x, r), _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
+        return self._value_at(x, r), _l1_one_sided_basis(g, x, self.lambda1)
 
     def component(self, j: int) -> "ElasticNetComponent":
         """Sample term f_j (0-based j) with the shared regularizers.
@@ -197,7 +197,7 @@ class ElasticNetProblem(_Separable):
         self._check_index(j)
         x = _check_dim(x, self.n)
         g = _sample_gradient(self.A[j], float(self.b[j]), self.lambda2, x)
-        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
+        return _l1_one_sided_basis(g, x, self.lambda1)
 
     def _check_index(self, j: int) -> None:
         if not 0 <= j < self.m:
@@ -238,7 +238,7 @@ class ElasticNetComponent(_Separable):
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
         g = _sample_gradient(self.a, self.bj, self.lambda2, x)
-        return _l1_one_sided_basis(g, x, self.lambda1, np.sign(x))
+        return _l1_one_sided_basis(g, x, self.lambda1)
 
 
 def sum_abs(n: int) -> ElasticNetProblem:
@@ -266,9 +266,8 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
 class DiagonalLasso(_Separable):
     """Separable strongly convex test problem with a known minimizer.
 
-    value(x) = sum_i d_i (x_i - b_i)^2 / 2 + lambda1 ||x||_1, formed from the
-    smooth gradient g = d (x - b) and s = sign(x), the vectors the partials
-    use, as r.g / 2 + lambda1 x.s with r = x - b.
+    value(x) = sum_i d_i (x_i - b_i)^2 / 2 + lambda1 ||x||_1, formed as
+    r.g / 2 + lambda1 x.sign(x) from r = x - b and the smooth gradient g = d r.
     """
 
     d: np.ndarray
@@ -303,17 +302,17 @@ class DiagonalLasso(_Separable):
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1, np.sign(x))
+        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """(value(x), one_sided_basis(x)) from one gradient d (x - b) and one sign vector,
-        in the arithmetic of the separate calls, so bit-identical to them."""
+        """(value(x), one_sided_basis(x)) from one gradient d (x - b), in the arithmetic
+        of the separate calls, so bit-identical to them."""
         x = _check_dim(x, self.dimension)
         r = x - self.b
         g = self.d * r
         s = np.sign(x)
         return (0.5 * float(r.dot(g)) + self.lambda1 * float(x.dot(s)),
-                _l1_one_sided_basis(g, x, self.lambda1, s))
+                _l1_one_sided_basis(g, x, self.lambda1))
 
     def minimizer(self) -> np.ndarray:
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)

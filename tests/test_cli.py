@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specopt.specular
-from specopt import checks, cli
+from specopt import checks, cli, harness
 from specopt.cli import main
 from specopt.harness import ConfigError, ExperimentConfig, run_trials
 from specopt.optimizers import RunRecord
@@ -133,6 +133,29 @@ class TestRunCommand:
         assert main(argv) == 1
         _assert_one_line(capsys.readouterr().err,
                          "config error: trials must lie in [1, 2**63), got 100000000000000000000")
+
+    def test_matrix_numpy_cannot_address_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # m = n = 2**40 lies below 2**63 and once ended in numpy's "array is too big" traceback
+        monkeypatch.setattr(cli, "run_trials", _no_trials)
+        cfg = write_config(tmp_path, m=2 ** 40, n=2 ** 40)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        _assert_one_line(capsys.readouterr().err, "config error: m * n must be at most ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 7.28 TiB", "error: out of memory: Unable to allocate 7.28 TiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, message, line):
+        # a size numpy accepts but the machine cannot hold; the trials run here, under the patch
+        def no_memory(m, n, rng):
+            raise MemoryError(message)
+
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
+        monkeypatch.setattr(harness, "sample_instance", no_memory)
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
@@ -738,8 +761,8 @@ class TestCheckCommand:
          lambda f: lambda pair, vnorm: f(pair, vnorm) + 1e-6),
         (checks.estimator_consistency, checks, "fd_specular_directional",
          lambda f: lambda *a: replace(f(*a), value=f(*a).value + 1e-4)),
-        (checks.quasi_mvt, specopt.specular, "specular_with_norm",
-         lambda f: lambda right, left: (np.zeros_like(f(right, left)[0]), 0.0)),
+        (checks.quasi_mvt, specopt.specular, "_assemble",
+         lambda f: lambda right, left: np.zeros_like(f(right, left))),
     ], ids=["scalar", "subgradient", "ordering", "estimator", "quasi-mvt"])
     def test_corruption_fails_the_gate_suites(self, monkeypatch, suite, owner, attr, corrupt):
         # mutation check for the suites behind acceptance criteria 1-4 and 10

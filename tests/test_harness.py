@@ -114,6 +114,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(dict(self.BASE, **patch))
 
+    def test_matrix_past_what_numpy_can_address_rejected(self):
+        # numpy refuses an array of more than intp.max bytes; m = n = 2**40 once passed validation
+        limit = np.iinfo(np.intp).max // 8
+        assert ExperimentConfig.from_dict(dict(self.BASE, m=limit, n=1)).m == limit  # no array is made
+        for m, n in ((limit + 1, 1), (2 ** 40, 2 ** 40)):
+            with pytest.raises(ConfigError, match=rf"^m \* n must be at most {limit} .*, got {m * n}$"):
+                ExperimentConfig.from_dict(dict(self.BASE, m=m, n=n))
+
     def test_integer_reals_accepted(self):
         cfg = ExperimentConfig.from_dict(dict(self.BASE, lambda1=0, lambda2=2, schedule_c=4))
         assert (cfg.lambda1, cfg.lambda2, cfg.schedule_c) == (0, 2, 4)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specopt import objectives
 from specopt.objectives import (
@@ -269,9 +270,8 @@ class TestFusedOracle:
         x = np.array(x)
         g = np.array([0.5, -1.5, 2.0])
         zero = x == 0.0
-        with np.errstate(invalid="ignore"):
-            plus, minus = objectives._l1_one_sided_basis(g, x, 0.7, np.sign(x))
-            smooth = g + 0.7 * np.sign(x)
+        plus, minus = objectives._l1_one_sided_basis(g, x, 0.7)
+        smooth = g + np.copysign(0.7, x)
         assert (plus is minus) == (not zero.any())
         assert plus.tobytes() == np.where(zero, g + 0.7, smooth).tobytes()
         assert minus.tobytes() == np.where(zero, g - 0.7, smooth).tobytes()
@@ -487,3 +487,44 @@ def test_sum_abs_is_pure_l1():
     obj = sum_abs(3)
     assert obj.value([1.0, -2.0, 0.0]) == 3.0
     assert np.array_equal(specular_gradient(obj, [1.0, -2.0, 0.0]), [1.0, -1.0, 0.0])
+
+
+def _assert_same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# coordinates: signed zeros (the kinks), subnormals, normals, +-inf and NaN
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coordinate, min_size=1, max_size=5),
+       st.floats(1e-3, 1e3).filter(lambda v: math.frexp(v)[0] != 0.5),  # not a power of two
+       st.sampled_from([0.0, 0.6]), st.integers(0, 2 ** 32 - 1))
+def test_partials_equal_the_sign_formula_bitwise(xs, lambda1, lambda2, seed):
+    # every oracle's partials are g + lambda1 sign(x) off the kinks and g +- lambda1 at +-0,
+    # with g the objective's own smooth gradient
+    x = np.array(xs)
+    rng = np.random.default_rng(seed)
+    p = ElasticNetProblem(rng.standard_normal((3, x.size)), rng.standard_normal(3), lambda1, lambda2)
+    lasso = DiagonalLasso(rng.uniform(0.5, 2.0, x.size), rng.uniform(-3.0, 3.0, x.size), lambda1)
+    j = int(rng.integers(3))
+    component = p.component(j)
+    with np.errstate(all="ignore"):  # inf and NaN coordinates
+        cases = [(p.smooth_gradient(x), p.one_sided_basis(x)),
+                 (p.smooth_gradient(x), p.value_and_one_sided_basis(x)[1]),
+                 (component.smooth_gradient(x), component.one_sided_basis(x)),
+                 (component.smooth_gradient(x), p.component_one_sided_basis(j, x)),
+                 (lasso.smooth_gradient(x), lasso.one_sided_basis(x)),
+                 (lasso.smooth_gradient(x), lasso.value_and_one_sided_basis(x)[1])]
+        kink = x == 0.0
+        for g, (plus, minus) in cases:
+            off = g + lambda1 * np.sign(x)
+            _assert_same_bits(plus, np.where(kink, g + lambda1, off))
+            _assert_same_bits(minus, np.where(kink, g - lambda1, off))
