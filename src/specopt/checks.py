@@ -221,11 +221,7 @@ SUITES = (
 
 
 def _run_suite(samples: int, seed: int, i: int) -> SuiteResult:
-    """Suite ``SUITES[i]`` on its own stream.
-
-    Workers get the index, not the suite, and look the suite up after the
-    fork, so a suite wrapped in a closure (as by a profiler) need not pickle.
-    """
+    """Suite ``SUITES[i]`` on its own stream."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
     return SUITES[i](samples, rng)
 
@@ -234,9 +230,9 @@ def run_suites(level: str, seed: int = 20_260_810) -> list[SuiteResult]:
     """Every suite's result, in ``SUITES`` order.
 
     ``basic_inequality``, the longest suite, runs in this process, and the
-    six sampling suites beside it through ``fork_map``, which sizes the pool.
-    Each suite draws from its own stream, so the results do not depend on
-    where it ran.
+    six sampling suites beside it in forked children through ``fork_map``,
+    which decides how many.  Each suite draws from its own stream, so the
+    results do not depend on where it ran.
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")

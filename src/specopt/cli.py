@@ -11,7 +11,7 @@ trajectories.csv (one row per method, trial, and iteration, sorted by that
 key), and runmeta.json (config echo, seed, versions, timing, trial worker
 count).  Floats serialize with shortest round-trip decimals, so reruns with
 the same seed produce byte-identical stats and trajectories.  The CSV rows of
-each trial are formatted in the worker that ran it, and a bundle's files are
+each trial are formatted in the process that ran it, and a bundle's files are
 renamed into place only once all of them are written.
 Exit codes: 0 success, 1 invalid input (arguments, config, SPECOPT_THREADS or
 an output path) or a run that does not fit in memory (one line on stderr),
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -68,26 +69,68 @@ def _load_config(path: str, seed=None, trials=None) -> ExperimentConfig:
 def format_trial_rows(trial: int, records: dict) -> dict[str, str]:
     """The trajectories.csv rows of one trial, as one text per method.
 
-    Each float column is formatted once, by ``repr`` of its ``tolist()``, so
-    every float is ``float.__repr__``'s shortest round-trip decimal; the row
-    number k is the iteration.  ``run_trials`` calls this in the worker that
-    ran the trial.
+    Every float of the trial is formatted by one ``_float_reprs`` call, so
+    each is ``float.__repr__``'s shortest round-trip decimal; the row number k
+    is the iteration.  ``run_trials`` calls this in the process that ran the
+    trial.
     """
+    columns = [column for rec in records.values() for column in (rec.f_current, rec.f_best, rec.grad_norm)]
+    reprs = _float_reprs(np.concatenate(columns)) if columns else []
     texts = {}
+    start = 0
     for method, rec in records.items():
-        head = f"{method},{trial},"
-        columns = zip(_float_reprs(rec.f_current), _float_reprs(rec.f_best), _float_reprs(rec.grad_norm))
-        texts[method] = "".join([f"{head}{k},{fc},{fb},{gn}\n" for k, (fc, fb, gn) in enumerate(columns)])
+        rows = len(rec)
+        fc, fb, gn = (reprs[start + i * rows: start + (i + 1) * rows] for i in range(3))
+        start += 3 * rows
+        lines = zip(itertools.repeat(f"{method},{trial}", rows), map(str, range(rows)), fc, fb, gn)
+        texts[method] = "\n".join(map(",".join, lines)) + "\n" if rows else ""
     return texts
 
 
-def _float_reprs(column: np.ndarray) -> list[str]:
-    """repr of each entry of a float vector, from one repr of the whole list."""
-    return repr(column.tolist())[1:-1].split(", ") if column.size else []
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each entry of a float64 vector, each distinct bit pattern formatted once.
+
+    The distinct patterns (so -0.0 and 0.0 stay apart) are formatted by one
+    ``repr`` of their list and mapped back by index; repeats are common, as a
+    run's best value holds for many rows.
+    """
+    if not values.size:
+        return []
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = repr(bits.view(float).tolist())[1:-1].split(", ")
+    return list(map(texts.__getitem__, where.tolist()))
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` and a newline, for str keys.
+
+    json's indenting encoder is pure Python and takes each float in turn, so
+    a list of floats goes through ``_float_reprs`` instead; keys and other
+    scalars go to ``json.dumps``.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as ``_json_text`` writes it, nested at the indent that ``newline`` ends with."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        parts = [f"{json.dumps(key)}: {_json_value(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if value and set(map(type, value)) == {float}:
+            floats = np.array(value)
+            if not np.isfinite(floats).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            parts = _float_reprs(floats)
+        else:
+            parts = [_json_value(item, inner) for item in value]
+    else:
+        return json.dumps(value, allow_nan=False)
+    if not parts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 
 def _write_whole(out_dir: Path, texts: dict[str, str]) -> None:

@@ -138,6 +138,8 @@ class ElasticNetProblem(_Separable):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
         object.__setattr__(self, "lambda2", float(self.lambda2))
+        object.__setattr__(self, "_At", A.T)  # made once: every gradient takes A^T r
+        object.__setattr__(self, "_m", float(A.shape[0]))
 
     @property
     def m(self) -> int:
@@ -151,25 +153,33 @@ class ElasticNetProblem(_Separable):
     def dimension(self) -> int:
         return self.A.shape[1]
 
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        r = self.A.dot(x)
+        r -= self.b  # in place on the product's own new array: the bits of A x - b
+        return r
+
     def _value_at(self, x: np.ndarray, r: np.ndarray) -> float:
-        return _l1_value(_ridge_value(0.5 * float(r.dot(r)) / self.m, x, self.lambda2), x, self.lambda1)
+        return _l1_value(_ridge_value(0.5 * float(r.dot(r)) / self._m, x, self.lambda2), x, self.lambda1)
 
     def _smooth_gradient_at(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return self.A.T.dot(r) / self.m + self.lambda2 * x
+        g = self._At.dot(r)
+        g /= self._m  # in place, in the order of A^T r / m + lambda2 x
+        g += self.lambda2 * x
+        return g
 
     def value(self, x) -> float:
         x = _check_dim(x, self.n)
-        return self._value_at(x, self.A.dot(x) - self.b)
+        return self._value_at(x, self._residual(x))
 
     def smooth_gradient(self, x) -> np.ndarray:
         """Gradient of the differentiable part: A^T (A x - b) / m + lambda2 x."""
         x = _check_dim(x, self.n)
-        return self._smooth_gradient_at(x, self.A.dot(x) - self.b)
+        return self._smooth_gradient_at(x, self._residual(x))
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
-        g = self._smooth_gradient_at(x, self.A.dot(x) - self.b)
+        g = self._smooth_gradient_at(x, self._residual(x))
         return _l1_one_sided_basis(g, x, self.lambda1)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
@@ -179,7 +189,7 @@ class ElasticNetProblem(_Separable):
         both results are bit-identical to the separate calls.
         """
         x = _check_dim(x, self.n)
-        r = self.A.dot(x) - self.b
+        r = self._residual(x)
         g = self._smooth_gradient_at(x, r)
         return self._value_at(x, r), _l1_one_sided_basis(g, x, self.lambda1)
 

@@ -1,30 +1,24 @@
 """Shared test fixtures."""
 
-import concurrent.futures
+import os
 
 import pytest
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Replaces the process pool with one that maps in this process.
+def forks(monkeypatch):
+    """Wraps ``os.fork`` to count the children this process makes.
 
-    Returns the list of (max_workers, start method) of every pool built.
+    Returns the list of the pids of every child forked here, in order.
     """
-    sizes = []
+    pids = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers, mp_context):
-            sizes.append((max_workers, mp_context.get_start_method()))
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -324,6 +324,76 @@ class TestTrialRows:
         assert _tree(tmp_path) == []
 
 
+# floats whose shortest decimals are easy to get wrong: signed zeros, the least subnormal, other
+# subnormals, the smallest normal, and 1e16 and 1e-7, where repr switches to exponent notation
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-7,
+                9999999999999998.0, 0.0001, 1 / 3, 1.0]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_NON_FINITE = [math.nan, -math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _float_lists(draw, elements, min_size=0, max_size=30):
+    """Lists of floats, often drawn from a few values so that they repeat."""
+    pool = draw(st.lists(elements, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool) | elements, min_size=min_size, max_size=max_size))
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=5) | _FINITE
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | _float_lists(_FINITE),
+    lambda inner: (st.lists(inner, max_size=4) | _float_lists(_FINITE)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=40)
+
+
+def _json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestTextEqualsReference:
+    """The bundle writers format each distinct float once; the texts must equal the plain encoders'."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_DOCS)
+    def test_json_text_equals_json_dumps(self, doc):
+        assert cli._json_text(doc) == _json_reference(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_float_lists(_FINITE), st.sampled_from(_NON_FINITE), st.data())
+    def test_json_text_rejects_non_finite_floats(self, floats, bad, data):
+        floats.insert(data.draw(st.integers(0, len(floats))), bad)
+        doc = data.draw(st.sampled_from([floats, {"a": {"b": floats}}, [[1, floats]], bad, {"x": bad}]))
+        with pytest.raises(ValueError):
+            _json_reference(doc)
+        with pytest.raises(ValueError):
+            cli._json_text(doc)
+
+    def test_json_text_of_a_run_equals_json_dumps(self, monkeypatch):
+        monkeypatch.setenv("SPECOPT_THREADS", "1")
+        cfg = ExperimentConfig.from_dict({**BASE_CONFIG, "methods": ["SPEG-s", "SPEG-g", "GD"], "trials": 3})
+        stats, _ = run_trials(cfg)
+        doc = {method: vars(ms) for method, ms in stats.per_method.items()}
+        assert cli._json_text(doc) == _json_reference(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_trial_rows_equal_the_per_row_formatter(self, data):
+        cells = st.floats() | st.sampled_from(_EDGE_FLOATS + _NON_FINITE)
+        methods = data.draw(st.lists(st.sampled_from(harness.METHOD_NAMES), min_size=1, max_size=3, unique=True))
+        records = {}
+        for method in methods:
+            rows = data.draw(st.sampled_from([0, 1]) | st.integers(0, 20))
+            # one list for the three columns, so repeats run across them as in a real trial
+            flat = np.array(data.draw(_float_lists(cells, 3 * rows, 3 * rows)), dtype=float)
+            records[method] = RunRecord(f_current=flat[:rows], f_best=flat[rows:2 * rows],
+                                        grad_norm=flat[2 * rows:], status="max_iters",
+                                        x_best=np.zeros(1), h_trace=np.zeros(0))
+        trial = data.draw(st.integers(0, 10 ** 6))
+        assert cli.format_trial_rows(trial, records) == {
+            method: _reference_rows(method, trial, rec) for method, rec in records.items()}
+
+
 def _fail_second_write(monkeypatch, error, at=2):
     """Make the at-th Path.write_text call write half its text, then raise error."""
     calls = []

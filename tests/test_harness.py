@@ -1,14 +1,18 @@
-"""Harness tests: instance sampling, aggregation, config parsing, determinism."""
+"""Harness tests: instance sampling, aggregation, config parsing, determinism, fork_map."""
 
-import concurrent.futures
-import multiprocessing
+import math
 import os
+import select
+import signal
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specopt.harness import (
     METHOD_NAMES,
+    _median,
     ConfigError,
     ExperimentConfig,
     aggregate_stats,
@@ -62,6 +66,18 @@ class TestAggregateStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_stats([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 4), st.data())
+    def test_median_equals_numpy_bitwise(self, count, width, data):
+        # ties, signed zeros and NaN are where a different partition or NaN rule would show
+        cells = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1 / 3, math.inf, -math.inf, math.nan]) | st.floats()
+        shape = (count,) if width == 0 else (count, width)
+        values = np.array(data.draw(st.lists(cells, min_size=count * max(width, 1),
+                                             max_size=count * max(width, 1)))).reshape(shape)
+        with np.errstate(invalid="ignore"):  # inf - inf in a midpoint, in both
+            expected, got = np.asarray(np.median(values, axis=0)), np.asarray(_median(values))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestConfig:
@@ -228,53 +244,177 @@ class TestRunTrials:
         stats, records = run_trials(cfg, on_trial=_trial_summary)
         assert stats.workers == threads
         assert [t for t, _, _ in stats.per_trial] == [0, 1, 2]
-        for trial, pid, lengths in stats.per_trial:
-            assert (pid == os.getpid()) == (threads == 1)
+        # this process runs share 0, trials 0 and 2; with two processes a child runs trial 1
+        pids = [pid for _, pid, _ in stats.per_trial]
+        assert pids[0] == pids[2] == os.getpid()
+        assert (pids[1] == os.getpid()) == (threads == 1)
+        for trial, _, lengths in stats.per_trial:
             assert lengths == {m: len(records[m][trial]) for m in cfg.methods}
         assert run_trials(cfg)[0].per_trial == []
 
     @pytest.mark.parametrize("threads,cpus,trials,expected", [
         (4, 2, 3, 2), (2, 8, 5, 2), (8, 8, 3, 3), (1, 8, 5, None), (8, 8, 1, None),
     ])
-    def test_pool_size_capped(self, monkeypatch, recording_pool, threads, cpus, trials, expected):
+    def test_pool_size_capped(self, monkeypatch, forks, threads, cpus, trials, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("SPECOPT_THREADS", str(threads))
         stats, _ = run_trials(self._cfg(methods=["GD"], trials=trials, max_iters=2))
-        assert recording_pool == ([] if expected is None else [(expected, "fork")])
         assert stats.workers == (expected or 1)
+        assert len(forks) == stats.workers - 1  # this process is one of them
 
     def test_serial_without_fork(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("no pool may be built without fork")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("SPECOPT_THREADS", "4")
         stats, _ = run_trials(self._cfg(methods=["GD"], max_iters=2))
         assert stats.workers == 1
 
 
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def gate():
+    """A pipe (read end, write end): a child waits on the read end until this process writes."""
+    ends = os.pipe()
+    yield ends
+    for end in ends:
+        os.close(end)
+
+
+def _opened(gate_read) -> bool:
+    """Whether the gate opens within 10 s."""
+    return bool(select.select([gate_read], [], [], 10.0)[0])
+
+
 @pytest.mark.parametrize("threads,order,processes,pools", [
-    ("4", ["beside", 0, 1, 2], 4, [(3, "fork")]),
+    ("4", ["beside"], 4, [3]),
     ("1", [0, 1, 2, "beside"], 1, []),
 ])
-def test_fork_map_runs_beside_before_it_waits_on_the_pool(monkeypatch, recording_pool,
+def test_fork_map_runs_beside_before_it_waits_on_the_pool(monkeypatch, forks, gate,
                                                           threads, order, processes, pools):
-    # the stand-in pool maps lazily, as a real one hands out results only when they are read,
-    # so an item runs before beside only when fork_map waited on the pool first
+    # beside opens the gate that each child's items wait on, so a child sees it
+    # open only when fork_map ran beside before it read the children's results
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("SPECOPT_THREADS", threads)
-    calls = []
+    here = os.getpid()
+    calls = []  # what ran in this process
 
     def fn(item):
         calls.append(item)
-        return item * 10
+        return item * 10, os.getpid() == here or _opened(gate[0])
 
     def beside():
         calls.append("beside")
+        os.write(gate[1], b"x")
         return "here"
 
-    assert fork_map(fn, range(3), beside) == ([0, 10, 20], "here", processes)
+    assert fork_map(fn, range(3), beside) == ([(0, True), (10, True), (20, True)], "here", processes)
     assert calls == order
-    assert recording_pool == pools
+    assert ([len(forks)] if forks else []) == pools
+    _assert_no_children()
+
+
+def test_fork_map_runs_its_own_share_before_it_reads_a_pipe(monkeypatch, gate):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    def fn(item):
+        if os.getpid() == here:
+            os.write(gate[1], b"x")
+            return "here"
+        return "open" if _opened(gate[0]) else "shut"
+
+    assert fork_map(fn, range(4)) == (["here", "open", "here", "open"], None, 2)
+
+
+@pytest.mark.parametrize("beside", [None, lambda: "here"], ids=["share-0-here", "beside-here"])
+def test_fork_map_deals_items_round_robin_and_returns_them_in_item_order(monkeypatch, forks, beside):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    done, last, processes = fork_map(lambda item: (item, os.getpid()), range(8), beside)
+    assert (last, processes) == (None if beside is None else "here", 3)
+    assert [item for item, _ in done] == list(range(8))
+    spread = 3 if beside is None else 2
+    pids = [pid for _, pid in done]
+    assert [len(set(pids[k::spread])) for k in range(spread)] == [1] * spread
+    assert len(set(pids)) == spread
+    assert (pids[0] == os.getpid()) == (beside is None)
+    assert set(pids) - {os.getpid()} == set(forks)
+    _assert_no_children()
+
+
+def test_fork_map_raises_a_childs_exception(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    def fn(item):
+        if os.getpid() != here and item == 3:
+            raise KeyError(f"item {item}")
+        return item
+
+    with pytest.raises(KeyError, match="item 3"):
+        fork_map(fn, range(4))
+    _assert_no_children()
+
+
+def test_fork_map_sends_an_exception_that_does_not_pickle_as_its_text(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    class Unpicklable(Exception):
+        """A local class: pickle cannot find it by name."""
+
+    def fn(item):
+        if os.getpid() != here:
+            raise Unpicklable(f"item {item}")
+        return item
+
+    with pytest.raises(RuntimeError, match="^Unpicklable: item 1$"):
+        fork_map(fn, range(2))
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("leave,status", [(lambda: os._exit(3), "3"),
+                                          (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")],
+                         ids=["exit-3", "sigkill"])
+def test_fork_map_raises_when_a_child_exits_without_results(monkeypatch, leave, status):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    def fn(item):
+        if os.getpid() != here:
+            leave()
+        return item
+
+    with pytest.raises(ChildProcessError, match=f"exited with status {status} before sending its results"):
+        fork_map(fn, range(2))
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("with_beside", [False, True], ids=["share-0-raises", "beside-raises"])
+def test_fork_map_kills_and_reaps_its_children_when_its_own_work_raises(monkeypatch, with_beside):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    def fn(item):
+        if os.getpid() == here:
+            raise ValueError("here")
+        time.sleep(60)  # a child still at work when this process raises
+        return item
+
+    def beside():
+        raise ValueError("here")
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="here"):
+        fork_map(fn, range(4), beside if with_beside else None)
+    assert time.monotonic() - start < 30
+    _assert_no_children()
