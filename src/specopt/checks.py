@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -229,18 +228,19 @@ def _run_suite(samples: int, seed: int, i: int) -> SuiteResult:
 def run_suites(level: str, seed: int = 20_260_810) -> list[SuiteResult]:
     """Every suite's result, in ``SUITES`` order.
 
-    ``basic_inequality``, the longest suite, runs in this process, and the
-    six sampling suites beside it in forked children through ``fork_map``,
-    which decides how many.  Each suite draws from its own stream, so the
-    results do not depend on where it ran.
+    The suites run in two groups through ``fork_map``: ``basic_inequality``,
+    the longest suite, as share 0 in this process, and the six sampling
+    suites in one forked child when two processes may run, else after it
+    here.  Each suite draws from its own stream, so the results do not
+    depend on where it ran.
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
     samples = 100 if level == "fast" else 10_000
     # by name: a profiler may swap SUITES for wrappers that keep the names
     here = [suite.__name__ for suite in SUITES].index("basic_inequality")
-    run = partial(_run_suite, samples, seed)
     sampling = [i for i in range(len(SUITES)) if i != here]
-    results, last, _ = fork_map(run, sampling, beside=partial(run, here))
+    ([last], results), _ = fork_map(lambda group: [_run_suite(samples, seed, i) for i in group],
+                                    [[here], sampling])
     results.insert(here, last)
     return results

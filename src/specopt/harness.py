@@ -5,9 +5,9 @@ SeedSequence: stream (seed, trial, 0) samples the problem instance and
 starting point, stream (seed, trial, 1 + i) drives the draws of the method
 with canonical index i.  Normal variates use the generator's ziggurat
 sampler.  Every method within a trial consumes the identical instance and
-starting point, so comparisons are paired.  Trials are independent, so they
-are dealt out to this process and to forked children (``fork_map``), and the
-results do not depend on how many processes ran them.
+starting point, so comparisons are paired.  Trials are independent, so
+``fork_map``, a parallel map, deals them out to this process and to forked
+children, and the results do not depend on how many processes ran them.
 """
 
 from __future__ import annotations
@@ -248,49 +248,42 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def fork_map(fn, items, beside=None):
-    """``[fn(item) for item in items]`` across forked processes and this one, and ``beside()`` here.
+def fork_map(fn, items):
+    """``[fn(item) for item in items]`` across forked processes and this one.
 
-    Returns (the results in item order, ``beside()`` or None without it, the
-    number of processes that ran the work).  The tasks are the items, a
-    sequence, plus ``beside``.  At most min(``SPECOPT_THREADS`` or the CPU
-    count, CPU count, tasks) processes run at once, this one included.  The
-    items are dealt round-robin into shares.  This process runs share 0, or
-    ``beside`` when given; every other share runs in a child made by
-    ``os.fork``, which sends its results back as one pickle down its own
-    pipe.  Only after its own work does this process read the pipes and reap
-    the children.  A child's exception is raised here, and so is a child that
-    exits without its results; if this process's own work raises, the
-    children are killed and reaped first.  When that number is 1, or where
-    ``os.fork`` is unavailable, everything runs serially in this process, the
-    items in order and then ``beside``, and the count is 1.  Only results
-    travel by pickle, so ``fn`` and ``beside`` may be closures.
+    Returns (the results in item order, the number of processes that ran
+    them).  At most min(``SPECOPT_THREADS`` or the CPU count, CPU count,
+    items) processes run at once, this one included.  The items, a
+    sequence, are dealt round-robin into shares.  This process runs share
+    0; every other share runs in a child made by ``os.fork``, which sends
+    its results back as one pickle down its own pipe.  Only after its own
+    share does this process read the pipes and reap the children.  A
+    child's exception is raised here, and so is a child that exits without
+    its results; if this process's own share raises, the children are
+    killed and reaped first.  When that number is at most 1, or where
+    ``os.fork`` is unavailable, every item runs in order in this process,
+    and the count is 1.  Only results travel by pickle, so ``fn`` may be a
+    closure.
     """
-    caller = 0 if beside is None else 1  # this process, when it runs beside
-    processes = min(default_threads(), os.cpu_count() or 1, len(items) + caller)
-    if processes == 1 or not hasattr(os, "fork"):
-        done = [fn(item) for item in items]
-        return done, None if beside is None else beside(), 1
-    spread = processes - caller  # the shares of the items
+    processes = min(default_threads(), os.cpu_count() or 1, len(items))
+    if processes <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items], 1
     children = []  # (pid, the pipe it sends its results down) of each child not yet reaped
     try:
-        for share in range(1 - caller, spread):
-            children.append(_fork_share(fn, items[share::spread]))
-        here = [fn(item) for item in items[::spread]] if beside is None else beside()
-        shares = _collect(children)
+        for share in range(1, processes):
+            children.append(_fork_share(fn, items[share::processes]))
+        here = [fn(item) for item in items[::processes]]
+        shares = [here] + _collect(children)
     except BaseException:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    if beside is None:
-        shares.insert(0, here)
-        here = None
     done = [None] * len(items)
     for share, results in enumerate(shares):
-        done[share::spread] = results
-    return done, here, processes
+        done[share::processes] = results
+    return done, processes
 
 
 def _fork_share(fn, share):
@@ -372,7 +365,7 @@ def run_trials(cfg: ExperimentConfig, on_trial=None):
     a child they travel by pickle.
     """
     task = partial(_run_trial, cfg, on_trial)
-    done, _, processes = fork_map(task, range(cfg.trials))
+    done, processes = fork_map(task, range(cfg.trials))
     records = {method: [per_trial[method] for per_trial, _ in done] for method in cfg.methods}
     hooked = [result for _, result in done] if on_trial is not None else []
     return TrialStats(_aggregate(cfg, records), processes, hooked), records

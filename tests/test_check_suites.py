@@ -2,7 +2,7 @@
 and that the two suites that draw kinked points reach kinks and catch a wrong kink kernel.
 
 basic-inequality runs in the calling process; the six sampling suites run
-beside it in forked children when there is more than one CPU to use.
+together in one forked child when more than one process may run.
 """
 
 import os
@@ -61,10 +61,11 @@ def test_sampling_suites_run_in_workers(monkeypatch, threads, cpus, forked):
     here = str(os.getpid())
     *sampling, basic = [r.detail for r in results]
     assert basic == here
-    assert all((pid != here) == forked for pid in sampling)
+    assert len(set(sampling)) == 1
+    assert (sampling[0] != here) == forked
 
 
-@pytest.mark.parametrize("threads,cpus,expected", [(1, 8, None), (2, 2, 1), (8, 4, 3), (8, 16, 6)])
+@pytest.mark.parametrize("threads,cpus,expected", [(1, 8, None), (2, 2, 1), (8, 4, 1), (8, 16, 1)])
 def test_pool_size(monkeypatch, forks, threads, cpus, expected):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("SPECOPT_THREADS", str(threads))

@@ -289,34 +289,6 @@ def _opened(gate_read) -> bool:
     return bool(select.select([gate_read], [], [], 10.0)[0])
 
 
-@pytest.mark.parametrize("threads,order,processes,pools", [
-    ("4", ["beside"], 4, [3]),
-    ("1", [0, 1, 2, "beside"], 1, []),
-])
-def test_fork_map_runs_beside_before_it_waits_on_the_pool(monkeypatch, forks, gate,
-                                                          threads, order, processes, pools):
-    # beside opens the gate that each child's items wait on, so a child sees it
-    # open only when fork_map ran beside before it read the children's results
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("SPECOPT_THREADS", threads)
-    here = os.getpid()
-    calls = []  # what ran in this process
-
-    def fn(item):
-        calls.append(item)
-        return item * 10, os.getpid() == here or _opened(gate[0])
-
-    def beside():
-        calls.append("beside")
-        os.write(gate[1], b"x")
-        return "here"
-
-    assert fork_map(fn, range(3), beside) == ([(0, True), (10, True), (20, True)], "here", processes)
-    assert calls == order
-    assert ([len(forks)] if forks else []) == pools
-    _assert_no_children()
-
-
 def test_fork_map_runs_its_own_share_before_it_reads_a_pipe(monkeypatch, gate):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("SPECOPT_THREADS", raising=False)
@@ -328,23 +300,28 @@ def test_fork_map_runs_its_own_share_before_it_reads_a_pipe(monkeypatch, gate):
             return "here"
         return "open" if _opened(gate[0]) else "shut"
 
-    assert fork_map(fn, range(4)) == (["here", "open", "here", "open"], None, 2)
+    assert fork_map(fn, range(4)) == (["here", "open", "here", "open"], 2)
 
 
-@pytest.mark.parametrize("beside", [None, lambda: "here"], ids=["share-0-here", "beside-here"])
-def test_fork_map_deals_items_round_robin_and_returns_them_in_item_order(monkeypatch, forks, beside):
+def test_fork_map_deals_items_round_robin_and_returns_them_in_item_order(monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.delenv("SPECOPT_THREADS", raising=False)
-    done, last, processes = fork_map(lambda item: (item, os.getpid()), range(8), beside)
-    assert (last, processes) == (None if beside is None else "here", 3)
+    done, processes = fork_map(lambda item: (item, os.getpid()), range(8))
+    assert processes == 3
     assert [item for item, _ in done] == list(range(8))
-    spread = 3 if beside is None else 2
     pids = [pid for _, pid in done]
-    assert [len(set(pids[k::spread])) for k in range(spread)] == [1] * spread
-    assert len(set(pids)) == spread
-    assert (pids[0] == os.getpid()) == (beside is None)
+    assert [len(set(pids[k::3])) for k in range(3)] == [1] * 3
+    assert len(set(pids)) == 3
+    assert pids[0] == os.getpid()
     assert set(pids) - {os.getpid()} == set(forks)
     _assert_no_children()
+
+
+def test_fork_map_of_no_items_runs_nothing(monkeypatch, forks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    assert fork_map(lambda item: item, []) == ([], 1)
+    assert forks == []
 
 
 def test_fork_map_raises_a_childs_exception(monkeypatch):
@@ -398,23 +375,20 @@ def test_fork_map_raises_when_a_child_exits_without_results(monkeypatch, leave, 
     _assert_no_children()
 
 
-@pytest.mark.parametrize("with_beside", [False, True], ids=["share-0-raises", "beside-raises"])
-def test_fork_map_kills_and_reaps_its_children_when_its_own_work_raises(monkeypatch, with_beside):
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt], ids=["share-0-raises", "share-0-interrupted"])
+def test_fork_map_kills_and_reaps_its_children_when_its_own_work_raises(monkeypatch, error):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.delenv("SPECOPT_THREADS", raising=False)
     here = os.getpid()
 
     def fn(item):
         if os.getpid() == here:
-            raise ValueError("here")
+            raise error("here")
         time.sleep(60)  # a child still at work when this process raises
         return item
 
-    def beside():
-        raise ValueError("here")
-
     start = time.monotonic()
-    with pytest.raises(ValueError, match="here"):
-        fork_map(fn, range(4), beside if with_beside else None)
+    with pytest.raises(error, match="here"):
+        fork_map(fn, range(4))
     assert time.monotonic() - start < 30
     _assert_no_children()
