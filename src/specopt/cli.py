@@ -10,9 +10,9 @@ aggregates, null where no trial succeeded, and trajectories),
 trajectories.csv (one row per method, trial, and iteration, sorted by that
 key), and runmeta.json (config echo, seed, versions, timing, trial worker
 count).  Floats serialize with shortest round-trip decimals, so reruns with
-the same seed produce byte-identical stats and trajectories.  The CSV rows of
-each trial are formatted in the process that ran it, and a bundle's files are
-renamed into place only once all of them are written.
+the same seed produce byte-identical stats and trajectories.  ``write_bundle``
+formats the CSV rows of each trial through ``fork_map``, and a bundle's files
+are renamed into place only once all of them are written.
 Exit codes: 0 success, 1 invalid input (arguments, config, SPECOPT_THREADS or
 an output path) or a run that does not fit in memory (one line on stderr),
 2 finished with failed cells.
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .harness import ConfigError, ExperimentConfig, default_threads, run_trials
+from .harness import ConfigError, ExperimentConfig, default_threads, fork_map, run_trials
 from .objectives import catalog_1d_names, sum_abs, test_function_1d
 from .specular import specular_gradient
 
@@ -71,8 +71,7 @@ def format_trial_rows(trial: int, records: dict) -> dict[str, str]:
 
     Every float of the trial is formatted by one ``_float_reprs`` call, so
     each is ``float.__repr__``'s shortest round-trip decimal; the row number k
-    is the iteration.  ``run_trials`` calls this in the process that ran the
-    trial.
+    is the iteration.  ``write_bundle`` calls this once per trial.
     """
     columns = [column for rec in records.values() for column in (rec.f_current, rec.f_best, rec.grad_norm)]
     reprs = _float_reprs(np.concatenate(columns)) if columns else []
@@ -160,13 +159,15 @@ def _write_whole(out_dir: Path, texts: dict[str, str]) -> None:
 def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time_s: float) -> None:
     """Write stats.json, trajectories.csv and runmeta.json into the existing out_dir, whole.
 
-    ``stats`` and ``records`` are ``run_trials(cfg, on_trial=format_trial_rows)``'s
-    result: the CSV rows are the formatted chunks in ``stats.per_trial``.
+    ``stats`` and ``records`` are ``run_trials(cfg)``'s result.  Each trial's
+    CSV rows are one ``format_trial_rows`` task of ``fork_map``, which runs
+    them in as many processes as the trials ran in.
     """
-    if len(stats.per_trial) != cfg.trials:
-        raise ValueError("write_bundle needs run_trials(cfg, on_trial=format_trial_rows)'s stats")
+    per_trial, _ = fork_map(
+        lambda trial: format_trial_rows(trial, {method: runs[trial] for method, runs in records.items()}),
+        range(cfg.trials))
     csv_text = "".join(["method,trial,iter,f_current,f_best,grad_norm\n",
-                        *(rows[method] for method in sorted(records) for rows in stats.per_trial)])
+                        *(rows[method] for method in sorted(records) for rows in per_trial)])
     # vars() is the fields themselves, no deep copy: they are JSON values already
     stats_doc = {method: vars(ms) for method, ms in stats.per_method.items()}
     meta = {
@@ -212,7 +213,7 @@ def _output_dir(path: Path):
 def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
     with _output_dir(out_dir):
         start = time.perf_counter()
-        stats, records = run_trials(cfg, on_trial=format_trial_rows)
+        stats, records = run_trials(cfg)
         write_bundle(out_dir, cfg, stats, records, time.perf_counter() - start)
     failed = sum(ms.failed for ms in stats.per_method.values())
     return 2 if failed else 0

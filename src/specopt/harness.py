@@ -193,18 +193,17 @@ class MethodStats:
 class TrialStats:
     per_method: dict[str, MethodStats]
     workers: int = 1  # processes the trials ran in; 1 when serial
-    per_trial: list = field(default_factory=list)  # the on_trial hook's results, in trial order
 
 
-def _run_trial(cfg: ExperimentConfig, on_trial, trial: int):
-    """One trial's records and, with a hook, on_trial(trial, records), both made where it ran."""
+def _run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, RunRecord]:
+    """One trial's records, by method."""
     A, b, x0 = sample_instance(cfg.m, cfg.n, substream(cfg.seed, trial, 0))
     problem = ElasticNetProblem(A, b, cfg.lambda1, cfg.lambda2)
     out: dict[str, RunRecord] = {}
     for method in cfg.methods:
         rng = substream(cfg.seed, trial, 1 + METHOD_NAMES.index(method))
         out[method] = run_method(method, problem, x0, cfg, rng)
-    return out, None if on_trial is None else on_trial(trial, out)
+    return out
 
 
 def _aggregate(cfg: ExperimentConfig, records: dict[str, list[RunRecord]]) -> dict[str, MethodStats]:
@@ -347,7 +346,7 @@ def _collect(children: list) -> list:
     return shares
 
 
-def run_trials(cfg: ExperimentConfig, on_trial=None):
+def run_trials(cfg: ExperimentConfig):
     """Execute every configured method over all trials.
 
     Returns (TrialStats, records) where records maps method name to the list
@@ -358,14 +357,7 @@ def run_trials(cfg: ExperimentConfig, on_trial=None):
     process and the rest in forked children, as many processes as
     ``SPECOPT_THREADS``, the CPU count and the number of trials allow.  The
     records are the same bits wherever they ran.
-
-    ``on_trial(trial, {method: RunRecord})``, when given, is called on each
-    trial's records in the process that ran the trial, right after it ran;
-    its results come back in ``TrialStats.per_trial``, in trial order.  From
-    a child they travel by pickle.
     """
-    task = partial(_run_trial, cfg, on_trial)
-    done, processes = fork_map(task, range(cfg.trials))
-    records = {method: [per_trial[method] for per_trial, _ in done] for method in cfg.methods}
-    hooked = [result for _, result in done] if on_trial is not None else []
-    return TrialStats(_aggregate(cfg, records), processes, hooked), records
+    done, processes = fork_map(partial(_run_trial, cfg), range(cfg.trials))
+    records = {method: [per_trial[method] for per_trial in done] for method in cfg.methods}
+    return TrialStats(_aggregate(cfg, records), processes), records

@@ -114,7 +114,7 @@ def _sample_gradient(a: np.ndarray, bj: float, lambda2: float, x: np.ndarray) ->
     return a * (float(a.dot(x)) - bj) + lambda2 * x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class ElasticNetProblem(_Separable):
     """Least squares with ridge and lasso penalties.
 
@@ -214,7 +214,7 @@ class ElasticNetProblem(_Separable):
             raise IndexError(f"component index {j} out of range for m={self.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class ElasticNetComponent(_Separable):
     """One squared residual plus the shared elastic-net regularizers."""
 
@@ -272,7 +272,7 @@ def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
     return np.sign(b) * np.maximum(np.abs(b) - lambda1 / d, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class DiagonalLasso(_Separable):
     """Separable strongly convex test problem with a known minimizer.
 

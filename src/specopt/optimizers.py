@@ -79,7 +79,7 @@ class StepSchedule:
         return self.parameter  # constant, the only other kind __post_init__ admits
 
 
-@dataclass
+@dataclass(eq=False)  # == and hash() by identity: its arrays have no truth value
 class RunRecord:
     """Per-iteration trajectory of one optimizer run.
 
@@ -296,7 +296,7 @@ def _check_point(x, shape: tuple[int, ...]) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class EuclideanBall:
     """Closed ball {x : ||x - center|| <= radius}."""
 
@@ -321,7 +321,7 @@ class EuclideanBall:
         return self.center + offset * (self.radius / dist)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class Box:
     """Axis-aligned box {x : lo <= x <= hi} (coordinatewise).
 

@@ -140,6 +140,8 @@ def specular_jacobian(components, x) -> np.ndarray:
             rows.append(specular_gradient(comp, x))
         except HypothesisViolationError as err:
             raise HypothesisViolationError(f"component {j}, {err}") from err
+    if not rows:
+        raise ValueError("cannot stack the Jacobian of an empty component list")
     return np.vstack(rows)
 
 

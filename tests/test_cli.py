@@ -315,13 +315,25 @@ class TestTrialRows:
         header = "method,trial,iter,f_current,f_best,grad_norm\n"
         assert (out / "trajectories.csv").read_text() == header + _per_element_rows(records)
 
-    def test_write_bundle_rejects_stats_without_rows(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECOPT_THREADS", "1")
-        cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    @pytest.mark.parametrize("threads,children", [(None, 1), ("1", 0)], ids=["default", "serial"])
+    def test_write_bundle_of_plain_run_trials_equals_run(self, tmp_path, monkeypatch, forks, threads, children):
+        # write_bundle formats the rows itself, one fork_map task per trial: trial 1 of 3 in a child
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if threads is None:
+            monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SPECOPT_THREADS", threads)
+        path = write_config(tmp_path, trials=3, methods=["SPEG-s", "GD", "Adam"])
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
         stats, records = run_trials(cfg)
-        with pytest.raises(ValueError, match="on_trial=format_trial_rows"):
-            cli.write_bundle(tmp_path, cfg, stats, records, 0.0)
-        assert _tree(tmp_path) == []
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        forks.clear()
+        cli.write_bundle(direct, cfg, stats, records, 0.0)
+        assert len(forks) == children
+        for name in ("stats.json", "trajectories.csv"):
+            assert (direct / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
 # floats whose shortest decimals are easy to get wrong: signed zeros, the least subnormal, other

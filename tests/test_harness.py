@@ -143,11 +143,6 @@ class TestConfig:
         assert (cfg.lambda1, cfg.lambda2, cfg.schedule_c) == (0, 2, 4)
 
 
-def _trial_summary(trial, records):
-    """on_trial hook of the tests: the trial, the process it ran in and its row counts."""
-    return trial, os.getpid(), {method: len(rec) for method, rec in records.items()}
-
-
 class TestRunTrials:
     def _cfg(self, **kw):
         base = {"m": 4, "n": 3, "lambda1": 0.1, "lambda2": 1.0, "seed": 11,
@@ -235,22 +230,6 @@ class TestRunTrials:
                 for name in ("iters", "f_current", "f_best", "grad_norm", "x_best", "h_trace"):
                     x, y = getattr(a, name), getattr(b, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (method, name)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_on_trial_runs_where_the_trial_ran(self, monkeypatch, threads):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("SPECOPT_THREADS", str(threads))
-        cfg = self._cfg(methods=["GD", "SPEG-s"], trials=3)
-        stats, records = run_trials(cfg, on_trial=_trial_summary)
-        assert stats.workers == threads
-        assert [t for t, _, _ in stats.per_trial] == [0, 1, 2]
-        # this process runs share 0, trials 0 and 2; with two processes a child runs trial 1
-        pids = [pid for _, pid, _ in stats.per_trial]
-        assert pids[0] == pids[2] == os.getpid()
-        assert (pids[1] == os.getpid()) == (threads == 1)
-        for trial, _, lengths in stats.per_trial:
-            assert lengths == {m: len(records[m][trial]) for m in cfg.methods}
-        assert run_trials(cfg)[0].per_trial == []
 
     @pytest.mark.parametrize("threads,cpus,trials,expected", [
         (4, 2, 3, 2), (2, 8, 5, 2), (8, 8, 3, 3), (1, 8, 5, None), (8, 8, 1, None),

@@ -1027,3 +1027,31 @@ def test_not_a_subgradient_of_a_non_separable_kink():
     for t, holds in ((0.1, False), (0.17, False), (0.18, True)):
         w = np.array([-t, -t])
         assert (obj.value(w) >= f0 + float(g @ w)) == holds, t
+
+
+def _array_holding_twins():
+    """Pairs of each array-holding dataclass, built from equal but distinct arrays of two or more entries."""
+    A, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, -1.0])
+    lasso = DiagonalLasso(np.ones(2), [1.0, 2.0], 0.1)
+    sched = StepSchedule.normalized_diminishing(1.0)
+    make = {
+        "ElasticNetProblem": lambda: ElasticNetProblem(A.copy(), b.copy(), 0.1, 0.1),
+        "ElasticNetComponent": lambda: objectives.ElasticNetComponent(A[0].copy(), 1.0, 0.1, 0.1),
+        "DiagonalLasso": lambda: DiagonalLasso(np.ones(2), [1.0, 2.0], 0.1),
+        "Box": lambda: Box(np.zeros(2), np.ones(2)),
+        "EuclideanBall": lambda: EuclideanBall(np.zeros(2), 1.0),
+        "RunRecord": lambda: speg_run(lasso, [0.0, 0.0], sched, 5),
+    }
+    return {name: (new(), new()) for name, new in make.items()}
+
+
+@pytest.mark.parametrize("name", ["ElasticNetProblem", "ElasticNetComponent", "DiagonalLasso", "Box",
+                                  "EuclideanBall", "RunRecord"])
+def test_array_holding_dataclasses_compare_and_hash_by_identity(name):
+    # a dataclass's generated == takes the truth value of comparing array fields, which raises
+    first, second = _array_holding_twins()[name]
+    assert type(first).__name__ == name
+    assert first == first and not first != first
+    assert first != second and not first == second
+    keyed = {first: 1, second: 2}
+    assert keyed[first] == 1 and keyed[second] == 2

@@ -243,6 +243,10 @@ class TestJacobian:
         jac = specular_jacobian([objectives.test_function_1d("abs")], [0.0])
         assert jac.shape == (1, 1) and jac[0, 0] == 0.0
 
+    def test_empty_component_list_is_named(self):
+        with pytest.raises(ValueError, match="^cannot stack the Jacobian of an empty component list$"):
+            specular_jacobian([], [0.0])
+
     def test_message_names_the_component(self):
         smooth = FixedPartials(np.ones(2), np.ones(2))
         unassemblable = FixedPartials(np.array([1.0, INF]), np.array([1.0, 2e12]))
