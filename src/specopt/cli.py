@@ -161,7 +161,9 @@ def write_bundle(out_dir: Path, cfg: ExperimentConfig, stats, records, wall_time
 
     ``stats`` and ``records`` are ``run_trials(cfg)``'s result.  Each trial's
     CSV rows are one ``format_trial_rows`` task of ``fork_map``, which runs
-    them in as many processes as the trials ran in.
+    them in as many processes as the trials ran in.  ``wall_time_s``, written
+    to runmeta.json as is, is the caller's timing of the trials and their
+    aggregation; it does not count this call's formatting or writing.
     """
     per_trial, _ = fork_map(
         lambda trial: format_trial_rows(trial, {method: runs[trial] for method, runs in records.items()}),

@@ -8,6 +8,8 @@ sampler.  Every method within a trial consumes the identical instance and
 starting point, so comparisons are paired.  Trials are independent, so
 ``fork_map``, a parallel map, deals them out to this process and to forked
 children, and the results do not depend on how many processes ran them.
+The first failure, here or in a child, ends the map: the children not yet
+reaped are killed and reaped.
 """
 
 from __future__ import annotations
@@ -252,36 +254,46 @@ def fork_map(fn, items):
 
     Returns (the results in item order, the number of processes that ran
     them).  At most min(``SPECOPT_THREADS`` or the CPU count, CPU count,
-    items) processes run at once, this one included.  The items, a
+    items) processes run at once, this one included; where ``os.fork`` is
+    unavailable, or there are no items, that number is 1.  The items, a
     sequence, are dealt round-robin into shares.  This process runs share
     0; every other share runs in a child made by ``os.fork``, which sends
     its results back as one pickle down its own pipe.  Only after its own
-    share does this process read the pipes and reap the children.  A
-    child's exception is raised here, and so is a child that exits without
-    its results; if this process's own share raises, the children are
-    killed and reaped first.  When that number is at most 1, or where
-    ``os.fork`` is unavailable, every item runs in order in this process,
-    and the count is 1.  Only results travel by pickle, so ``fn`` may be a
-    closure.
+    share does this process take the children in order, reading each pipe
+    to its end and reaping the child.  A child's exception is raised here,
+    and so is a child that exits without its results.  At the first
+    failure, here or in a child, the children not yet reaped are killed
+    and reaped before the error is raised.  Only results travel by pickle,
+    so ``fn`` may be a closure.
     """
     processes = min(default_threads(), os.cpu_count() or 1, len(items))
-    if processes <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items], 1
+    if processes < 1 or not hasattr(os, "fork"):
+        processes = 1  # every item runs in this process, in order
+    done = [None] * len(items)
     children = []  # (pid, the pipe it sends its results down) of each child not yet reaped
     try:
         for share in range(1, processes):
             children.append(_fork_share(fn, items[share::processes]))
-        here = [fn(item) for item in items[::processes]]
-        shares = [here] + _collect(children)
+        done[::processes] = [fn(item) for item in items[::processes]]
+        for share in range(1, processes):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status != 0 or not payload:
+                raise ChildProcessError(f"child process {pid} exited with status "
+                                        f"{os.waitstatus_to_exitcode(status)} before sending its results")
+            ok, value = pickle.loads(payload)  # bytes this program's own child wrote
+            if not ok:
+                raise value
+            done[share::processes] = value
     except BaseException:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    done = [None] * len(items)
-    for share, results in enumerate(shares):
-        done[share::processes] = results
     return done, processes
 
 
@@ -317,33 +329,6 @@ def _fork_share(fn, share):
         status = 0
     finally:
         os._exit(status)
-
-
-def _collect(children: list) -> list:
-    """Read each child's pipe to its end, reap the child and drop it from ``children``;
-    then return the children's results in order.
-
-    Only once every child is reaped does it raise: the first child's
-    exception, or ChildProcessError for a child that did not exit cleanly
-    after sending its results.
-    """
-    outcomes = []
-    while children:
-        pid, pipe = children[0]
-        with pipe:
-            payload = pipe.read()
-        outcomes.append((pid, os.waitpid(pid, 0)[1], payload))
-        del children[0]
-    shares = []
-    for pid, status, payload in outcomes:
-        if status != 0 or not payload:
-            raise ChildProcessError(f"child process {pid} exited with status "
-                                    f"{os.waitstatus_to_exitcode(status)} before sending its results")
-        ok, value = pickle.loads(payload)  # bytes this program's own child wrote
-        if not ok:
-            raise value
-        shares.append(value)
-    return shares
 
 
 def run_trials(cfg: ExperimentConfig):

@@ -84,8 +84,9 @@ class RunRecord:
     """Per-iteration trajectory of one optimizer run.
 
     Row k holds the objective value, running best value, and specular
-    gradient norm at iterate x_k.  ``h_trace`` holds the step sizes actually
-    applied (one fewer entry than rows when the run stopped cleanly).
+    gradient norm at iterate x_k.  ``h_trace`` holds one fewer entry than
+    rows, whatever the status, numerical failures included: entry k is the
+    schedule's ``step_size(k, grad_norm[k])``, the step taken from row k.
     """
 
     f_current: np.ndarray

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalar import INFINITY_THRESHOLD, afun, afun_array, ensure_extended, promote_extended
+from .scalar import INFINITY_THRESHOLD, afun, afun_array, afun_tan_form, ensure_extended, promote_extended
 
 
 _SQUARED_THRESHOLD = INFINITY_THRESHOLD * INFINITY_THRESHOLD
@@ -191,7 +191,7 @@ def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdE
     for h in h_schedule:
         slope_plus = promote_extended((float(f(x + h * v)) - fx) / (h * vnorm))
         slope_minus = promote_extended((fx - float(f(x - h * v))) / (h * vnorm))
-        est = vnorm * math.tan(0.5 * math.atan(slope_plus) + 0.5 * math.atan(slope_minus))
+        est = vnorm * afun_tan_form(slope_plus, slope_minus)
         estimates.append(est)
         if len(estimates) >= 2 and math.isclose(est, estimates[-2], rel_tol=rtol, abs_tol=1e-12):
             return FdEstimate(est, abs(est - estimates[-2]), h, True, (estimates[-2], est))

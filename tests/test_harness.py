@@ -371,3 +371,30 @@ def test_fork_map_kills_and_reaps_its_children_when_its_own_work_raises(monkeypa
         fork_map(fn, range(4))
     assert time.monotonic() - start < 30
     _assert_no_children()
+
+
+def test_fork_map_raises_a_childs_failure_without_waiting_for_its_siblings(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("SPECOPT_THREADS", raising=False)
+    here = os.getpid()
+
+    def fn(item):
+        if os.getpid() != here and item == 1:
+            raise KeyError(f"item {item}")
+        if os.getpid() != here and item == 2:
+            time.sleep(60)  # a sibling still at work when share 1's child fails
+        return item
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="item 1"):
+        fork_map(fn, range(3))
+    assert time.monotonic() - start < 30
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_fork_map_rejects_a_bad_thread_count_without_fork(monkeypatch, threads):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("SPECOPT_THREADS", threads)
+    with pytest.raises(ConfigError, match="SPECOPT_THREADS"):
+        fork_map(lambda item: item, range(4))
