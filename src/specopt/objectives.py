@@ -4,7 +4,8 @@ The ``Objective`` protocol is ``dimension``, ``value(x)`` and the partials
 ``one_sided_basis(x)``, all that the specular gradient and the optimizers ask
 of an objective; ``specular_directional`` also needs ``one_sided(x, v)``.
 The elastic net and the diagonal lasso also offer
-``value_and_one_sided_basis(x)``, value and partials from one residual.
+``value_and_one_sided_basis(x)``, value and partials from one residual; the
+optimizers call it on every row and take its partials, float arrays, as they are.
 
 The partials come back as a pair (plus, minus).  Where no coordinate sits at
 a kink the two are one array, ``plus is minus``, so the assembly can skip
@@ -60,19 +61,27 @@ def _ridge_value(data, x: np.ndarray, lambda2: float):
     return data + 0.5 * lambda2 * float(x.dot(x))
 
 
-def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) partials, g + copysign(lambda1, x) off the kinks: lambda1 sign(x) bit for bit at
-    nonzero numbers, and every catalog g_i at a NaN x_i is NaN; one array twice when no x_i is at a kink."""
+def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float,
+                        t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) partials, g + t off the kinks with the term t = copysign(lambda1, x): lambda1 sign(x)
+    bit for bit at nonzero numbers, and every catalog g_i at a NaN x_i is NaN; one array twice when no
+    x_i is at a kink.  An oracle that reads t for its value too passes it in, formed once."""
     if lambda1 == 0.0:
         return g, g
-    plus = g + np.copysign(lambda1, x)
+    plus = g + (np.copysign(lambda1, x) if t is None else t)
     if np.count_nonzero(x) == x.size:  # no entry is 0.0 or -0.0 (NaN counts as nonzero)
         return plus, plus
     zero = x == 0.0
+    g_zero = g[zero]
     minus = plus.copy()
-    plus[zero] = g[zero] + lambda1
-    minus[zero] = g[zero] - lambda1
+    plus[zero] = g_zero + lambda1
+    minus[zero] = g_zero - lambda1
     return plus, minus
+
+
+def _operand(x: float) -> np.ndarray:
+    """x as a 0-d array: a ufunc takes it with an array faster than a Python float, with the same bits."""
+    return np.array(x)
 
 
 def _check_weights(**weights: float) -> None:
@@ -127,8 +136,8 @@ class ElasticNetProblem(_Separable):
     lambda2: float
 
     def __post_init__(self) -> None:
-        A = np.ascontiguousarray(np.asarray(self.A, dtype=float))
-        b = np.ascontiguousarray(np.asarray(self.b, dtype=float))
+        A = np.ascontiguousarray(self.A, dtype=float)
+        b = np.ascontiguousarray(self.b, dtype=float)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("A must be a nonempty m x n matrix")
         if b.shape != (A.shape[0],):
@@ -140,6 +149,9 @@ class ElasticNetProblem(_Separable):
         object.__setattr__(self, "lambda2", float(self.lambda2))
         object.__setattr__(self, "_At", A.T)  # made once: every gradient takes A^T r
         object.__setattr__(self, "_m", float(A.shape[0]))
+        object.__setattr__(self, "_m_array", _operand(self._m))
+        object.__setattr__(self, "_lambda1_array", _operand(self.lambda1))
+        object.__setattr__(self, "_lambda2_array", _operand(self.lambda2))
 
     @property
     def m(self) -> int:
@@ -163,8 +175,8 @@ class ElasticNetProblem(_Separable):
 
     def _smooth_gradient_at(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         g = self._At.dot(r)
-        g /= self._m  # in place, in the order of A^T r / m + lambda2 x
-        g += self.lambda2 * x
+        g /= self._m_array  # in place, in the order of A^T r / m + lambda2 x
+        g += self._lambda2_array * x
         return g
 
     def value(self, x) -> float:
@@ -179,8 +191,7 @@ class ElasticNetProblem(_Separable):
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One-sided partials along every e_i at once."""
         x = _check_dim(x, self.n)
-        g = self._smooth_gradient_at(x, self._residual(x))
-        return _l1_one_sided_basis(g, x, self.lambda1)
+        return self._l1_partials(self._smooth_gradient_at(x, self._residual(x)), x)
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """(value(x), one_sided_basis(x)) from one residual A x - b.
@@ -190,8 +201,7 @@ class ElasticNetProblem(_Separable):
         """
         x = _check_dim(x, self.n)
         r = self._residual(x)
-        g = self._smooth_gradient_at(x, r)
-        return self._value_at(x, r), _l1_one_sided_basis(g, x, self.lambda1)
+        return self._value_at(x, r), self._l1_partials(self._smooth_gradient_at(x, r), x)
 
     def component(self, j: int) -> "ElasticNetComponent":
         """Sample term f_j (0-based j) with the shared regularizers.
@@ -206,8 +216,10 @@ class ElasticNetProblem(_Separable):
         """component(j).one_sided_basis(x), read off row j of A without building the component."""
         self._check_index(j)
         x = _check_dim(x, self.n)
-        g = _sample_gradient(self.A[j], float(self.b[j]), self.lambda2, x)
-        return _l1_one_sided_basis(g, x, self.lambda1)
+        return self._l1_partials(_sample_gradient(self.A[j], float(self.b[j]), self._lambda2_array, x), x)
+
+    def _l1_partials(self, g: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _l1_one_sided_basis(g, x, self.lambda1, np.copysign(self._lambda1_array, x))
 
     def _check_index(self, j: int) -> None:
         if not 0 <= j < self.m:
@@ -277,12 +289,14 @@ class DiagonalLasso(_Separable):
     """Separable strongly convex test problem with a known minimizer.
 
     value(x) = sum_i d_i (x_i - b_i)^2 / 2 + lambda1 ||x||_1, formed as
-    r.g / 2 + lambda1 x.sign(x) from r = x - b and the smooth gradient g = d r.
+    r.g / 2 + x.t from r = x - b, the smooth gradient g = d r and the term
+    t = copysign(lambda1, x) that the partials g + t use as well.
     """
 
     d: np.ndarray
     b: np.ndarray
     lambda1: float
+    dimension: int = field(init=False)  # stored, not a property: every oracle call checks its point against it
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=float)
@@ -297,32 +311,29 @@ class DiagonalLasso(_Separable):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lambda1", float(self.lambda1))
-
-    @property
-    def dimension(self) -> int:
-        return self.d.shape[0]
+        object.__setattr__(self, "dimension", d.shape[0])
+        object.__setattr__(self, "_lambda1_array", _operand(self.lambda1))
 
     def value(self, x) -> float:
         x = _check_dim(x, self.dimension)
         r = x - self.b
-        return 0.5 * float(r.dot(self.d * r)) + self.lambda1 * float(x.dot(np.sign(x)))
+        return 0.5 * float(r.dot(self.d * r)) + float(x.dot(np.copysign(self._lambda1_array, x)))
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (_check_dim(x, self.dimension) - self.b)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1)
+        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1, np.copysign(self._lambda1_array, x))
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """(value(x), one_sided_basis(x)) from one gradient d (x - b), in the arithmetic
-        of the separate calls, so bit-identical to them."""
+        """(value(x), one_sided_basis(x)) from one gradient d (x - b) and one term
+        copysign(lambda1, x), in the arithmetic of the separate calls, so bit-identical to them."""
         x = _check_dim(x, self.dimension)
         r = x - self.b
         g = self.d * r
-        s = np.sign(x)
-        return (0.5 * float(r.dot(g)) + self.lambda1 * float(x.dot(s)),
-                _l1_one_sided_basis(g, x, self.lambda1))
+        t = np.copysign(self._lambda1_array, x)
+        return 0.5 * float(r.dot(g)) + float(x.dot(t)), _l1_one_sided_basis(g, x, self.lambda1, t)
 
     def minimizer(self) -> np.ndarray:
         return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)

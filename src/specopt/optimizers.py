@@ -12,22 +12,37 @@ best iterate is tracked separately.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import ElasticNetProblem
-from .specular import specular_with_norm, vector_norm
+from .specular import _specular_with_norm, vector_norm
 from .specular import specular_gradient  # noqa: F401  not called here; the benchmark tracer patches this name
 
 DEFAULT_ETA = 1e-12
 
-# schedule kind -> (exclusive upper bound of its parameter, message when it is out of (0, bound))
-_SCHEDULE_LIMITS = {
-    "normalized_diminishing": (math.inf, "c must be positive and finite"),
-    "geometric": (1.0, "ratio must lie in (0, 1)"),
-    "constant": (math.inf, "h must be positive and finite"),
+
+def _normalized_diminishing(c: float, k: int, grad_norm: float) -> float:
+    return c / ((k + 1) * grad_norm)
+
+
+def _geometric(ratio: float, k: int, grad_norm: float) -> float:
+    return ratio ** (k + 1) / grad_norm
+
+
+def _constant(h: float, k: int, grad_norm: float) -> float:
+    return h
+
+
+# schedule kind -> (its step size h_k(parameter, k, ||g_k||), exclusive upper bound of its parameter,
+# message when the parameter is out of (0, bound))
+_SCHEDULES = {
+    "normalized_diminishing": (_normalized_diminishing, math.inf, "c must be positive and finite"),
+    "geometric": (_geometric, 1.0, "ratio must lie in (0, 1)"),
+    "constant": (_constant, math.inf, "h must be positive and finite"),
 }
 
 
@@ -52,9 +67,9 @@ class StepSchedule:
     parameter: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _SCHEDULE_LIMITS:
-            raise ValueError(f"unknown step schedule {self.kind!r}; valid: {', '.join(_SCHEDULE_LIMITS)}")
-        upper, message = _SCHEDULE_LIMITS[self.kind]
+        if self.kind not in _SCHEDULES:
+            raise ValueError(f"unknown step schedule {self.kind!r}; valid: {', '.join(_SCHEDULES)}")
+        _, upper, message = _SCHEDULES[self.kind]
         if not 0.0 < self.parameter < upper:
             raise ValueError(message)
         object.__setattr__(self, "parameter", float(self.parameter))
@@ -72,11 +87,7 @@ class StepSchedule:
         return cls("constant", h)
 
     def step_size(self, k: int, grad_norm: float) -> float:
-        if self.kind == "normalized_diminishing":
-            return self.parameter / ((k + 1) * grad_norm)
-        if self.kind == "geometric":
-            return self.parameter ** (k + 1) / grad_norm
-        return self.parameter  # constant, the only other kind __post_init__ admits
+        return _SCHEDULES[self.kind][0](self.parameter, k, grad_norm)
 
 
 @dataclass(eq=False)  # == and hash() by identity: its arrays have no truth value
@@ -114,24 +125,25 @@ class RunRecord:
 @np.errstate(over="ignore", invalid="ignore")
 def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
               direction=None, stateless: bool = False) -> RunRecord:
-    """Shared iteration engine.  partials(k, x) -> (f(x), (plus, minus)).
+    """Shared iteration engine.  partials(x) -> (f(x), (plus, minus)), called once per row, in order.
 
     The loop assembles the specular gradient g and its norm from the
-    one-sided partials and steps along g, or along direction(k, g) when that
-    is given.  Partials that cannot be assembled (``specular_with_norm``)
+    one-sided partials, float arrays, and steps along g, or along
+    direction(k, g) when that is given.  Partials that cannot be assembled
     give an infinite or NaN norm: the row is recorded with it and the run
     stops as a numerical failure.
     partials (and so the objective) must not write into x: the best iterate
     is kept by reference, not copied.
 
-    stateless promises that partials ignores k, so with no direction a row
-    depends on x alone.  Such a run compares each new iterate with the last,
-    bit for bit; when a step leaves x unchanged, every later step applies the
-    same g with a step size no larger (the schedule's steps do not grow in k
-    at a fixed ||g||) and, rounding being monotone, cannot move x either.  The
-    loop then appends the remaining rows as copies of this one, with their
-    step sizes from the schedule, instead of evaluating them, and stops with
-    status max_iters: the same record the evaluated rows would give.
+    stateless promises that partials is a function of x alone, so with no
+    direction a row depends on x alone.  Such a run compares each new iterate
+    with the last, bit for bit; when a step leaves x unchanged, every later
+    step applies the same g with a step size no larger (the schedule's steps
+    do not grow in k at a fixed ||g||) and, rounding being monotone, cannot
+    move x either.  The loop then appends the remaining rows as copies of
+    this one, with their step sizes from the schedule, instead of evaluating
+    them, and stops with status max_iters: the same record the evaluated rows
+    would give.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
@@ -142,14 +154,14 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     fb: list[float] = []
     gn: list[float] = []
     h_trace: list[float] = []
-    step_size = sched.step_size
+    rule, parameter = _SCHEDULES[sched.kind][0], sched.parameter  # sched.step_size without its lookup
     f_best = math.inf
     x_best = x  # x is a private copy and each step makes a new array, so no copy is needed
     last = x.tobytes() if stateless and direction is None else None  # bytes tell -0.0 from 0.0
     k = 0
     while True:
-        f, (plus, minus) = partials(k, x)
-        g, gnorm = specular_with_norm(plus, minus)
+        f, (plus, minus) = partials(x)
+        g, gnorm = _specular_with_norm(plus, minus)
         if f < f_best:
             f_best = f
             x_best = x
@@ -165,7 +177,7 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
         if k >= max_iters:
             status = "max_iters"
             break
-        h = step_size(k, gnorm)
+        h = rule(parameter, k, gnorm)
         x = x - h * (g if direction is None else direction(k, g))
         h_trace.append(h)
         if last is not None:
@@ -175,7 +187,7 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
                 fc += [f] * rest
                 fb += [f_best] * rest
                 gn += [gnorm] * rest
-                h_trace += [step_size(j, gnorm) for j in range(k + 1, max_iters)]
+                h_trace += [rule(parameter, j, gnorm) for j in range(k + 1, max_iters)]
                 status = "max_iters"
                 break
             last = now
@@ -191,11 +203,17 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
 
 
 def _value_and_partials(obj):
-    """The loop's partials(k, x) for obj: its fused hook, or value and one_sided_basis; k is ignored."""
+    """The loop's partials(x) for obj: its fused hook, whose partials are float arrays as the
+    catalog's are, or value and one_sided_basis, with the partials made float arrays."""
     fused = getattr(obj, "value_and_one_sided_basis", None)
     if fused is not None:
-        return lambda k, x: fused(x)
-    return lambda k, x: (float(obj.value(x)), obj.one_sided_basis(x))
+        return fused
+
+    def partials(x):
+        plus, minus = obj.one_sided_basis(x)
+        return float(obj.value(x)), (np.asarray(plus, dtype=float), np.asarray(minus, dtype=float))
+
+    return partials
 
 
 def speg_run(obj, x0, sched: StepSchedule, max_iters: int, eta: float = DEFAULT_ETA) -> RunRecord:
@@ -248,10 +266,11 @@ def _stochastic_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_ite
     """Full specular gradient at iterations k < switch_k, one sampled term's after."""
     full = _value_and_partials(problem)
     m = problem.m
+    rows = itertools.count()  # the loop calls partials once per row: this is the row's k
 
-    def partials(k, x):
-        if k < switch_k:
-            return full(k, x)
+    def partials(x):
+        if next(rows) < switch_k:
+            return full(x)
         return float(problem.value(x)), problem.component_one_sided_basis(int(rng.integers(m)), x)
 
     return _run_loop(partials, sched, x0, max_iters, eta)

@@ -126,6 +126,11 @@ def bfun(a: float, b: float, c: float) -> float:
     return (c * s) / (root - e)
 
 
+# 0-d operands for afun_array: numpy takes them faster than Python floats, with the same bits
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_LOW, _HIGH = np.array(-_HUGE), np.array(_HUGE)
+
+
 def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Vectorized afun for extended-real slope arrays, bit-identical to afun entry by entry.
 
@@ -134,18 +139,32 @@ def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if np.isnan(alpha).any() or np.isnan(beta).any():
+    lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)  # NaN in either slope is NaN in both
+    tame = (lo >= _LOW) & (hi <= _HIGH)  # NaN fails it too
+    if np.count_nonzero(tame) == tame.size:  # then no step below can overflow or divide by zero
+        return _afun_formula(alpha, beta, lo, hi)
+    if np.isnan(lo).any():
         raise ValueError("slopes must not be NaN")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = alpha + beta
-        e = alpha * beta - 1.0
-        r = np.hypot(e, s)
-        grow = e >= 0.0
-        out = np.where(grow, (e + r) / np.where(s == 0.0, 1.0, s), s / (r - e))
-    lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)
+        out = _afun_formula(alpha, beta, lo, hi)
+    huge = ~tame
+    out[huge] = [afun(a, b) for a, b in zip(alpha[huge].tolist(), beta[huge].tolist())]
+    return out
+
+
+def _afun_formula(alpha: np.ndarray, beta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """afun's finite-slope arithmetic, entry by entry, with lo and hi the entrywise min and max."""
+    s = alpha + beta
+    e = alpha * beta
+    e -= _ONE
+    r = np.hypot(e, s)
+    grow = e >= _ZERO
+    # each entry divides by its own branch's denominator: s, which is not 0 where alpha beta >= 1,
+    # or r - e, which is at least 1 where alpha beta < 1
+    out = np.where(grow, e + r, s)
+    out /= np.where(grow, s, r - e)
     # the clamp is afun's min(max(out, lo), hi): a tie keeps out, signed zeros included
-    out = np.where(alpha == beta, alpha, np.where(out < lo, lo, np.where(out > hi, hi, out)))
-    huge = (lo < -_HUGE) | (hi > _HUGE)
-    if huge.any():
-        out[huge] = [afun(a, b) for a, b in zip(alpha[huge].tolist(), beta[huge].tolist())]
+    np.copyto(out, lo, where=out < lo)
+    np.copyto(out, hi, where=out > hi)
+    np.copyto(out, alpha, where=alpha == beta)
     return out

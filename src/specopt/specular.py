@@ -64,12 +64,16 @@ def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray,
     ``np.linalg.norm(g)``: +inf where a pair is infinite with one sign and NaN
     where a partial is NaN, the partials that cannot be assembled.
     """
-    plus = np.asarray(plus, dtype=float)
+    return _specular_with_norm(np.asarray(plus, dtype=float), np.asarray(minus, dtype=float))
+
+
+def _specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
+    """specular_with_norm for partials that are float arrays already, as the iteration loop's are."""
     if plus is minus and plus.ndim <= 1:
         sq = plus.dot(plus)
         if sq < _SQUARED_THRESHOLD:
             return plus, math.sqrt(sq)
-    g = _assemble(plus, np.asarray(minus, dtype=float))
+    g = _assemble(plus, minus)
     return g, math.sqrt(float(g.dot(g)))
 
 

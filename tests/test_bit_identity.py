@@ -129,7 +129,7 @@ def _l1_partials(g, x, lambda1):
 def reference_oracle(p) -> Oracle:
     """The catalog objective p in the residual form, every product ``@`` and every sum
     ``ndarray.sum`` in np.float64; a zero ridge weight leaves its term out.  The diagonal
-    lasso's value is r.g / 2 + lambda1 x.sign(x), with r = x - b and g = d r its gradient.
+    lasso's value is r.g / 2 + x.t, with r = x - b, g = d r its gradient and t = copysign(lambda1, x).
 
     For the elastic net this is the library's arithmetic except in two cases,
     neither of which reaches a run's record: on a view with negative strides
@@ -144,7 +144,7 @@ def reference_oracle(p) -> Oracle:
             return 0.5 * (r @ g), g
 
         def l1(x):
-            return x @ np.sign(x)
+            return x @ np.copysign(p.lambda1, x)
         sample = None
     else:
         A, b, m, lambda2 = p.A, p.b, p.m, p.lambda2
@@ -157,7 +157,7 @@ def reference_oracle(p) -> Oracle:
             return data, A.T @ r / m + lambda2 * x
 
         def l1(x):
-            return np.abs(x).sum()
+            return p.lambda1 * float(np.abs(x).sum())
 
         def sample(j, x):
             a = A[j]
@@ -165,7 +165,7 @@ def reference_oracle(p) -> Oracle:
 
     def full(x):
         value, g = smooth(x)
-        return float(value) + p.lambda1 * float(l1(x)), _l1_partials(g, x, p.lambda1)
+        return float(value) + float(l1(x)), _l1_partials(g, x, p.lambda1)
 
     return Oracle(lambda x: full(x)[0], full, sample)
 

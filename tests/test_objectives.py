@@ -285,7 +285,7 @@ class TestFusedOracle:
                 x = rng.standard_normal(11) * 10.0 ** rng.uniform(-3, 3)
                 x[rng.random(11) < 0.3] = 0.0
                 r = x - b
-                expected = float(0.5 * (r @ (d * r))) + lambda1 * float(x @ np.sign(x))
+                expected = float(0.5 * (r @ (d * r))) + float(x @ np.copysign(lambda1, x))
                 assert lasso.value(x) == expected
                 assert lasso.value_and_one_sided_basis(x)[0] == expected
 

@@ -911,12 +911,17 @@ class TestFixedPointReplay:
         assert oracle_rows[0] <= stall + 1
 
     def test_fixed_point_above_the_best_value(self, oracle_rows):
-        # the repeated rows keep the running best, not the fixed point's value
-        rng = rng_for(69)
-        p = ElasticNetProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.3, 0.2)
-        x0 = 3.0 * rng.standard_normal(3)
-        ref, stall = run_reference("SPEG-g", p, x0, self.RULES, fused_oracle)
-        assert stall is not None and ref.f_current[stall] > ref.f_best[stall]
+        # the repeated rows keep the running best, not the fixed point's value; which instances
+        # stall above their best depends on the BLAS kernel's rounding, so draw until one does
+        for seed in range(69, 1069):
+            rng = rng_for(seed)
+            p = ElasticNetProblem(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.3, 0.2)
+            x0 = 3.0 * rng.standard_normal(3)
+            ref, stall = run_reference("SPEG-g", p, x0, self.RULES, fused_oracle)
+            if stall is not None and ref.f_current[stall] > ref.f_best[stall]:
+                break
+        else:
+            pytest.fail("no instance of seeds 69-1068 stalls above its best value")
         oracle_rows[0] = 0
         assert_same_record(run_library("SPEG-g", p, x0, self.RULES), ref)
         assert oracle_rows[0] <= stall + 1
