@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specular
 from .harness import fork_map
 from .objectives import DiagonalLasso, ElasticNetProblem, catalog_1d_names, test_function_1d
 from .optimizers import RunRecord, StepSchedule, basic_inequality_bound, speg_run
 from .scalar import afun, afun_tan_form, bfun
-from .specular import fd_specular_directional, specular_from_one_sided, specular_gradient
+from .specular import fd_specular_directional, specular_from_one_sided, specular_gradient, specular_with_norm
 
 
 @dataclass
@@ -168,7 +167,7 @@ def quasi_mvt(samples: int, rng: np.random.Generator) -> SuiteResult:
                 bb = a + 1e-2
             ts = np.linspace(a, bb, grid_points + 2)[1:-1]
             right, left = obj.lateral_slopes(ts)
-            ds = specular._assemble(right, left)
+            ds = specular_with_norm(right, left)[0]
             secant = obj.value([bb]) - obj.value([a])
             slack = 1e-3 * (bb - a)
             lo = ds.min() * (bb - a)

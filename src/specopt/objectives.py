@@ -62,13 +62,13 @@ def _ridge_value(data, x: np.ndarray, lambda2: float):
 
 
 def _l1_one_sided_basis(g: np.ndarray, x: np.ndarray, lambda1: float,
-                        t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(plus, minus) partials, g + t off the kinks with the term t = copysign(lambda1, x): lambda1 sign(x)
     bit for bit at nonzero numbers, and every catalog g_i at a NaN x_i is NaN; one array twice when no
-    x_i is at a kink.  An oracle that reads t for its value too passes it in, formed once."""
+    x_i is at a kink.  The caller forms t, so an oracle that reads t for its value too forms it once."""
     if lambda1 == 0.0:
         return g, g
-    plus = g + (np.copysign(lambda1, x) if t is None else t)
+    plus = g + t
     if np.count_nonzero(x) == x.size:  # no entry is 0.0 or -0.0 (NaN counts as nonzero)
         return plus, plus
     zero = x == 0.0
@@ -260,7 +260,7 @@ class ElasticNetComponent(_Separable):
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
         x = _check_dim(x, self.dimension)
         g = _sample_gradient(self.a, self.bj, self.lambda2, x)
-        return _l1_one_sided_basis(g, x, self.lambda1)
+        return _l1_one_sided_basis(g, x, self.lambda1, np.copysign(self.lambda1, x))
 
 
 def sum_abs(n: int) -> ElasticNetProblem:
@@ -290,7 +290,8 @@ class DiagonalLasso(_Separable):
 
     value(x) = sum_i d_i (x_i - b_i)^2 / 2 + lambda1 ||x||_1, formed as
     r.g / 2 + x.t from r = x - b, the smooth gradient g = d r and the term
-    t = copysign(lambda1, x) that the partials g + t use as well.
+    t = copysign(lambda1, x) that the partials g + t use as well.  ``value`` and
+    ``one_sided_basis`` are the two parts of ``value_and_one_sided_basis``, bit-identical by construction.
     """
 
     d: np.ndarray
@@ -315,20 +316,16 @@ class DiagonalLasso(_Separable):
         object.__setattr__(self, "_lambda1_array", _operand(self.lambda1))
 
     def value(self, x) -> float:
-        x = _check_dim(x, self.dimension)
-        r = x - self.b
-        return 0.5 * float(r.dot(self.d * r)) + float(x.dot(np.copysign(self._lambda1_array, x)))
+        return self.value_and_one_sided_basis(x)[0]
 
     def smooth_gradient(self, x) -> np.ndarray:
         return self.d * (_check_dim(x, self.dimension) - self.b)
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = _check_dim(x, self.dimension)
-        return _l1_one_sided_basis(self.d * (x - self.b), x, self.lambda1, np.copysign(self._lambda1_array, x))
+        return self.value_and_one_sided_basis(x)[1]
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """(value(x), one_sided_basis(x)) from one gradient d (x - b) and one term
-        copysign(lambda1, x), in the arithmetic of the separate calls, so bit-identical to them."""
+        """(value(x), one_sided_basis(x)) from one gradient d (x - b) and one term copysign(lambda1, x)."""
         x = _check_dim(x, self.dimension)
         r = x - self.b
         g = self.d * r

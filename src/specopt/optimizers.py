@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import ElasticNetProblem
-from .specular import _specular_with_norm, vector_norm
+from .specular import specular_with_norm, vector_norm
 from .specular import specular_gradient  # noqa: F401  not called here; the benchmark tracer patches this name
 
 DEFAULT_ETA = 1e-12
@@ -161,7 +161,7 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     k = 0
     while True:
         f, (plus, minus) = partials(x)
-        g, gnorm = _specular_with_norm(plus, minus)
+        g, gnorm = specular_with_norm(plus, minus)
         if f < f_best:
             f_best = f
             x_best = x
@@ -309,10 +309,12 @@ def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int
 
 
 def _check_point(x, shape: tuple[int, ...]) -> np.ndarray:
-    """x as a float array of a set's shape; 0-d bounds (a scalar center or box) fit any shape."""
+    """x as a float array of a set's shape, no coordinate NaN; 0-d bounds (a scalar center or box) fit any shape."""
     x = np.asarray(x, dtype=float)
     if shape and x.shape != shape:
         raise ValueError(f"expected a point of shape {shape}, got shape {x.shape}")
+    if np.isnan(x).any():
+        raise ValueError("a point to project must have no NaN coordinate")
     return x
 
 
@@ -334,6 +336,8 @@ class EuclideanBall:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = _check_point(x, self.center.shape)
+        if np.isinf(x).any():  # the radial scaling would make inf * 0 = NaN
+            raise ValueError("a point to project onto a ball must be finite")
         offset = x - self.center
         dist = vector_norm(offset)
         if dist <= self.radius:
@@ -378,7 +382,9 @@ def projected_speg_step(x, g, h: float, constraint) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != x.shape:
         raise ValueError(f"g has shape {g.shape}, x has shape {x.shape}")
-    return constraint.project(x - h * g)
+    with np.errstate(over="ignore", invalid="ignore"):  # a box clips +-inf exactly; a ball rejects it, both NaN
+        step = x - h * g
+    return constraint.project(step)
 
 
 def basic_inequality_bound(x0, xstar, schedule_trace) -> np.ndarray:

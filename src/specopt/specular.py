@@ -55,20 +55,15 @@ def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
 
 
 def specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
-    """(g, ||g||) for one-sided partials of at most one dimension, along unit directions.
+    """(g, ||g||) for one-sided partials, float arrays of at most one dimension, along unit directions.
 
-    Where the two partials agree g is the classical derivative, plus itself;
-    afun_array runs on the kink entries only.  One array passed as both, with
-    g.g below INFINITY_THRESHOLD ** 2 (which a NaN or an entry at or past the
-    threshold fails), is g itself, no copy.  The norm is sqrt(g.g), the bits of
-    ``np.linalg.norm(g)``: +inf where a pair is infinite with one sign and NaN
-    where a partial is NaN, the partials that cannot be assembled.
+    The one assembly entry; ``specular_gradient`` converts an objective's partials for it.
+    Where the partials agree g is the classical derivative, plus itself; afun_array runs on
+    the kink entries only.  One array passed as both, with g.g below INFINITY_THRESHOLD ** 2
+    (which a NaN or an entry at or past the threshold fails), is g itself, no copy.  The norm
+    is sqrt(g.g), the bits of ``np.linalg.norm(g)``: +inf where a pair is infinite with one
+    sign and NaN where a partial is NaN, the partials that cannot be assembled.
     """
-    return _specular_with_norm(np.asarray(plus, dtype=float), np.asarray(minus, dtype=float))
-
-
-def _specular_with_norm(plus: np.ndarray, minus: np.ndarray) -> tuple[np.ndarray, float]:
-    """specular_with_norm for partials that are float arrays already, as the iteration loop's are."""
     if plus is minus and plus.ndim <= 1:
         sq = plus.dot(plus)
         if sq < _SQUARED_THRESHOLD:
@@ -122,11 +117,11 @@ def specular_directional(obj, x, v) -> float:
 
 
 def specular_gradient(obj, x) -> np.ndarray:
-    """Vector of specular partial derivatives, assembled from ``obj.one_sided_basis(x)``."""
+    """Vector of specular partial derivatives, assembled from ``obj.one_sided_basis(x)`` made float arrays."""
     plus, minus = obj.one_sided_basis(np.asarray(x, dtype=float))
     # the smooth-point screen may overflow on huge partials; the general path takes those
     with np.errstate(over="ignore"):
-        g, norm = specular_with_norm(plus, minus)
+        g, norm = specular_with_norm(np.asarray(plus, dtype=float), np.asarray(minus, dtype=float))
     if math.isnan(norm):
         raise ValueError("one-sided derivatives must not be NaN")
     if math.isinf(norm):

@@ -270,7 +270,7 @@ class TestFusedOracle:
         x = np.array(x)
         g = np.array([0.5, -1.5, 2.0])
         zero = x == 0.0
-        plus, minus = objectives._l1_one_sided_basis(g, x, 0.7)
+        plus, minus = objectives._l1_one_sided_basis(g, x, 0.7, np.copysign(0.7, x))
         smooth = g + np.copysign(0.7, x)
         assert (plus is minus) == (not zero.any())
         assert plus.tobytes() == np.where(zero, g + 0.7, smooth).tobytes()

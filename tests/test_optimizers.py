@@ -490,6 +490,31 @@ class TestProjection:
         out = EuclideanBall(np.zeros(2), 1.0).project(np.array([1e200, 1e200]))
         assert np.allclose(out, [math.sqrt(0.5)] * 2, rtol=1e-15)
 
+    @pytest.mark.parametrize("constraint", [Box(np.zeros(2), np.ones(2)), EuclideanBall(np.zeros(2), 1.0)],
+                             ids=["box", "ball"])
+    def test_nan_point_rejected(self, constraint):
+        # a NaN coordinate used to project to NaN, silently
+        for x in ([math.nan, 0.0], [math.nan, 2.0], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                constraint.project(x)
+        with pytest.raises(ValueError, match="NaN"):  # inf - inf in the step
+            projected_speg_step([math.inf, 0.0], [1e308, 0.0], 1e10, constraint)
+
+    def test_infinite_point_rejected_by_the_ball(self):
+        # the radial scaling of an infinite offset gave inf * 0 = NaN
+        ball = EuclideanBall(np.zeros(2), 1.0)
+        for x in ([math.inf, 0.0], [0.0, -math.inf], [math.inf, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ball.project(x)
+        with pytest.raises(ValueError, match="finite"):  # the step overflows to -inf
+            projected_speg_step([0.0, 0.0], [1e308, 1e308], 1e10, ball)
+
+    def test_box_clips_infinite_coordinates(self):
+        # clipping +-inf to the bounds is the exact projection, also of a step that overflows
+        box = Box(np.zeros(2), np.ones(2))
+        assert np.array_equal(box.project([math.inf, -math.inf]), [1.0, 0.0])
+        assert np.array_equal(projected_speg_step([0.0, 0.0], [1e308, -1e308], 1e10, box), [0.0, 1.0])
+
     def test_box_clamp(self):
         box = Box(np.zeros(2), np.ones(2))
         out = projected_speg_step([-0.5, 2.0], [0.0, 0.0], 1.0, box)
