@@ -99,26 +99,19 @@ def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
                        f"worst chain violation {worst:.3e} at {kinks} kink coordinates")
 
 
-class _ReadPartials:
-    """An objective at one point x whose partials were already read there: one_sided_basis hands them back."""
-
-    def __init__(self, plus: np.ndarray, minus: np.ndarray) -> None:
-        self._partials = plus, minus
-
-    def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self._partials
-
-
 def subgradient_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
     """The subgradient inequality at kinked points, and each kink entry of g exactly afun's."""
     worst = -math.inf
     kinks = off = 0
-    for _ in range(samples):
+    for k in range(samples):
         p = _random_instance(rng, max_mn=21)
         x = _kinked(rng, rng.standard_normal(p.n))
         w = rng.standard_normal(p.n)
         plus, minus = p.one_sided_basis(x)
-        g = specular_gradient(_ReadPartials(plus, minus), x)  # p's gradient at x, from the partials read once
+        g, gnorm = specular_with_norm(plus, minus)
+        if not math.isfinite(gnorm):  # a NaN partial, or an infinite pair of one sign
+            return SuiteResult("subgradient-inequality", False,
+                               f"no finite specular gradient at sample {k}: norm {gnorm}")
         kink = plus != minus
         exact = np.array([afun(a, b) for a, b in zip(plus[kink].tolist(), minus[kink].tolist())])
         kinks += exact.size
@@ -186,7 +179,7 @@ def estimator_consistency(samples: int, rng: np.random.Generator) -> SuiteResult
         xs = np.concatenate([[0.0], xs])  # the kink itself, else clear of the sub-step kink band
         for t in xs:
             analytic = specular_from_one_sided(obj.one_sided([t], [1.0]), 1.0)
-            est = fd_specular_directional(lambda z: obj.value(z), [t], [1.0])
+            est = fd_specular_directional(obj.value, [t], [1.0])
             worst = max(worst, abs(est.value - analytic))
     passed = worst <= 1e-5
     return SuiteResult("estimator-consistency", passed, f"worst |fd - analytic| {worst:.3e}")

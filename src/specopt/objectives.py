@@ -340,8 +340,9 @@ class DiagonalLasso(_Separable):
 class PiecewiseScalar(_Separable):
     """One-dimensional objective defined by a value function and its lateral slopes.
 
-    ``left_slope(t)``/``right_slope(t)`` are the one-sided classical slopes
-    just left/right of t; both accept scalars or arrays.
+    ``left_slope(ts)``/``right_slope(ts)`` are the one-sided classical slopes
+    just left/right of each point of an array ts (a constant may come back as
+    a scalar); ``fn`` takes a float.
     """
 
     name: str
@@ -354,13 +355,12 @@ class PiecewiseScalar(_Separable):
         return float(self.fn(float(_check_dim(x, 1)[0])))
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        t = float(_check_dim(x, 1)[0])
-        return (np.array([float(self.right_slope(t))]), np.array([float(self.left_slope(t))]))
+        return self.lateral_slopes(_check_dim(x, 1))
 
     def lateral_slopes(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (right, left) slopes on a grid of points."""
+        """(right, left) slopes at the points ts, new arrays of its shape; ``one_sided_basis`` at one point."""
         ts = np.asarray(ts, dtype=float)
-        return np.asarray(self.right_slope(ts), dtype=float), np.asarray(self.left_slope(ts), dtype=float)
+        return tuple(np.full(ts.shape, slope(ts), dtype=float) for slope in (self.right_slope, self.left_slope))
 
 
 _CATALOG_1D: dict[str, PiecewiseScalar] = {

@@ -338,9 +338,13 @@ class EuclideanBall:
         x = _check_point(x, self.center.shape)
         if np.isinf(x).any():  # the radial scaling would make inf * 0 = NaN
             raise ValueError("a point to project onto a ball must be finite")
-        offset = x - self.center
+        with np.errstate(over="ignore"):
+            offset = x - self.center
+        scale = 1.0
+        if not np.isfinite(offset).all():  # past the largest float: halve it, which keeps its direction
+            offset, scale = 0.5 * x - 0.5 * self.center, 2.0
         dist = vector_norm(offset)
-        if dist <= self.radius:
+        if scale * dist <= self.radius:
             return np.array(x, dtype=float)
         return self.center + offset * (self.radius / dist)
 

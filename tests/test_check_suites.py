@@ -5,13 +5,17 @@ basic-inequality runs in the calling process; the six sampling suites run
 together in one forked child when more than one process may run.
 """
 
+import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from specopt import checks, specular
+from specopt.cli import main
+from specopt.objectives import ElasticNetProblem, _Separable
 
 
 def _results(seed):
@@ -111,3 +115,42 @@ def test_wrong_kink_kernel_fails_the_subgradient_suite(monkeypatch, kernel, samp
     monkeypatch.setattr(specular, "afun_array", kernel)
     suite = checks.subgradient_inequality(samples, np.random.default_rng(0))
     assert not suite.passed, suite.detail
+
+
+@pytest.fixture
+def nan_partial(monkeypatch):
+    """ElasticNetProblem.one_sided_basis with a NaN at its first coordinate that is not a kink.
+
+    ``one_sided``, which the ordering suite reads, keeps the true partials.
+    """
+    basis = ElasticNetProblem.one_sided_basis
+
+    def one_sided_basis(self, x):
+        plus, minus = basis(self, x)
+        off_kink = np.flatnonzero(x)  # the kinks are the coordinates at +-0.0
+        if off_kink.size:
+            plus, minus = plus.copy(), minus.copy()
+            plus[off_kink[0]] = minus[off_kink[0]] = math.nan
+        return plus, minus
+
+    def one_sided(self, x, v):
+        return _Separable.one_sided(SimpleNamespace(one_sided_basis=lambda z: basis(self, z)), x, v)
+
+    monkeypatch.setattr(ElasticNetProblem, "one_sided_basis", one_sided_basis)
+    monkeypatch.setattr(ElasticNetProblem, "one_sided", one_sided)
+
+
+def test_nan_partial_fails_the_subgradient_suite(nan_partial):
+    suite = checks.subgradient_inequality(100, np.random.default_rng(0))
+    assert suite.passed is False
+    assert re.fullmatch(r"no finite specular gradient at sample \d+: norm nan", suite.detail), suite.detail
+
+
+def test_nan_partial_fails_the_check_command_with_one_line(nan_partial, capsys):
+    assert main(["check", "--level", "fast"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 7 and "Traceback" not in captured.out + captured.err
+    fails = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(fails) == 1, fails
+    assert fails[0].startswith("[FAIL] subgradient-inequality: no finite specular gradient at sample ")

@@ -837,8 +837,8 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("suite,owner,attr,corrupt", [
         (checks.scalar_identities, checks, "afun", lambda f: lambda a, b: f(a, b) + 1e-6),
-        (checks.subgradient_inequality, checks, "specular_gradient",
-         lambda f: lambda p, x: f(p, x) + 10.0),
+        (checks.subgradient_inequality, checks, "specular_with_norm",
+         lambda f: lambda plus, minus: (lambda g, norm: (g + 10.0, norm))(*f(plus, minus))),
         (checks.ordering_lemma, checks, "specular_from_one_sided",
          lambda f: lambda pair, vnorm: f(pair, vnorm) + 1e-6),
         (checks.estimator_consistency, checks, "fd_specular_directional",

@@ -475,12 +475,17 @@ class TestCatalog1d:
                 assert obj.one_sided([t], [w]).plus == -obj.one_sided([t], [-w]).minus
 
     def test_lateral_slopes_match_one_sided(self):
-        ts = np.array([-1.0, 0.0, 0.5])
-        obj = objectives.test_function_1d("quadkink")
-        right, left = obj.lateral_slopes(ts)
-        for t, r, l in zip(ts, right, left):
-            pair = obj.one_sided([t], [1.0])
-            assert (pair.plus, pair.minus) == (r, l)
+        # one_sided_basis is lateral_slopes at one point: the same bits, -0.0 and huge points too
+        ts = np.array([-1.0, -0.0, 0.0, 0.5, 1e300, -1e300])
+        for name in objectives.catalog_1d_names():
+            obj = objectives.test_function_1d(name)
+            right, left = obj.lateral_slopes(ts)
+            for i, t in enumerate(ts):
+                plus, minus = obj.one_sided_basis([t])
+                assert plus.tobytes() == right[i:i + 1].tobytes(), name
+                assert minus.tobytes() == left[i:i + 1].tobytes(), name
+                pair = obj.one_sided([t], [1.0])
+                assert (pair.plus, pair.minus) == (right[i], left[i]), name
 
 
 def test_sum_abs_is_pure_l1():

@@ -490,6 +490,27 @@ class TestProjection:
         out = EuclideanBall(np.zeros(2), 1.0).project(np.array([1e200, 1e200]))
         assert np.allclose(out, [math.sqrt(0.5)] * 2, rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("center,radius,x,expected", [
+        ([-1e308, -1e308], 1.0, [1e308, 1e308], [-1e308 + math.sqrt(0.5)] * 2),
+        ([1e308, -1e308], 1e308, [-1e308, 1e308], [1e308 - 1e308 / math.sqrt(2.0), 1e308 / math.sqrt(2.0) - 1e308]),
+        ([-1e308, 0.0], 1e308, [1e308, 5.0], [0.0, 2.5]),
+        ([-1e308, 0.0], math.inf, [1e308, 5.0], [1e308, 5.0]),
+    ], ids=["diagonal", "mixed-signs", "one-axis", "infinite-radius"])
+    def test_ball_offset_past_the_largest_float(self, center, radius, x, expected):
+        # x - center overflows although both are finite: the radial point (or x, inside) is still finite
+        out = EuclideanBall(np.array(center), radius).project(x)
+        assert np.isfinite(out).all()
+        assert np.allclose(out, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("center,radius,x", [([0.3, -1.2], 0.7, [2.5, 1.1]), (0.0, 1.0, [1e200, -3e199]),
+                                                 ([1e-300, 0.0], 1e-301, [0.0, 1e-300])])
+    def test_ball_projection_bits_where_the_offset_is_finite(self, center, radius, x):
+        center, x = np.asarray(center, dtype=float), np.asarray(x, dtype=float)
+        offset = x - center
+        expected = center + offset * (radius / specular.vector_norm(offset))
+        assert EuclideanBall(center, radius).project(x).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("constraint", [Box(np.zeros(2), np.ones(2)), EuclideanBall(np.zeros(2), 1.0)],
                              ids=["box", "ball"])
     def test_nan_point_rejected(self, constraint):
