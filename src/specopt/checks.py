@@ -1,7 +1,8 @@
 """Invariant suites behind the ``check`` command.
 
 Each suite draws its own deterministic random sample, verifies one family of
-identities or inequalities, and reports the worst violation it saw.  The
+identities or inequalities, and reports the worst violation it saw; a NaN
+among the values it compares makes that worst NaN, which fails it.  The
 ``samples`` argument scales the sampling effort (the fast level uses 1e2,
 the full level 1e4).  Acceptance criteria 1-4 and 10 call five of these
 suites with the gate's own sample counts and streams.  The ordering-lemma
@@ -30,6 +31,14 @@ class SuiteResult:
     detail: str
 
 
+def _worse(worst: float, *values: float) -> float:
+    """max(worst, *values), but NaN once any of them is: ``max`` keeps a NaN only in first place."""
+    for value in values:
+        if math.isnan(value):
+            return math.nan
+    return max(worst, *values)
+
+
 def _slopes(rng: np.random.Generator, size: int) -> np.ndarray:
     """Signed log-uniform slopes covering magnitudes 1e-6 .. 1e6."""
     sign = np.where(rng.random(size) < 0.5, -1.0, 1.0)
@@ -51,8 +60,7 @@ def scalar_identities(samples: int, rng: np.random.Generator) -> SuiteResult:
             return SuiteResult("scalar-identities", False, f"magnitude bound broken at ({alpha}, {beta})")
         err = abs(val - afun_tan_form(alpha, beta)) / (1.0 + abs(val))
         scaled = bfun(alpha, beta, c)
-        err = max(err, abs(scaled - afun(alpha / c, beta / c)) / (1.0 + abs(scaled)))
-        worst = max(worst, err)
+        worst = _worse(worst, err, abs(scaled - afun(alpha / c, beta / c)) / (1.0 + abs(scaled)))
     passed = worst <= 1e-9
     return SuiteResult("scalar-identities", passed, f"worst relative form error {worst:.3e}")
 
@@ -93,7 +101,7 @@ def ordering_lemma(samples: int, rng: np.random.Generator) -> SuiteResult:
         lower = fx - p.value(x - v)
         upper = p.value(x + v) - fx
         chain = (lower - pair.minus, pair.minus - ds, ds - pair.plus, pair.plus - upper)
-        worst = max(worst, *chain)
+        worst = _worse(worst, *chain)
     passed = worst <= 1e-9
     return SuiteResult("ordering-lemma", passed,
                        f"worst chain violation {worst:.3e} at {kinks} kink coordinates")
@@ -118,7 +126,7 @@ def subgradient_inequality(samples: int, rng: np.random.Generator) -> SuiteResul
         off += int(np.count_nonzero(g[kink].view(np.int64) != exact.view(np.int64)))
         fw = p.value(w)
         gap = p.value(x) + float(g.dot(w - x)) - fw - 1e-8 * (1.0 + abs(fw))
-        worst = max(worst, gap)
+        worst = _worse(worst, gap)
     passed = worst <= 0.0 and off == 0
     return SuiteResult("subgradient-inequality", passed,
                        f"worst inequality slack {worst:.3e} at {kinks} kink coordinates, {off} off afun")
@@ -137,12 +145,12 @@ def quasi_fermat(samples: int, rng: np.random.Generator) -> SuiteResult:
         lasso = _random_lasso(rng)
         xstar = lasso.minimizer()
         grad = specular_gradient(lasso, xstar)
-        worst = max(worst, float(np.abs(grad).max()) - 1.0)  # coordinate directions
+        worst = _worse(worst, float(np.abs(grad).max()) - 1.0)  # coordinate directions
         for _ in range(20):
             v = rng.standard_normal(lasso.dimension)
             vnorm = float(np.linalg.norm(v))
             ds = specular_from_one_sided(lasso.one_sided(xstar, v), vnorm)
-            worst = max(worst, abs(ds) - vnorm)
+            worst = _worse(worst, abs(ds) - vnorm)
     passed = worst <= 1e-6
     return SuiteResult("quasi-fermat", passed, f"worst directional excess {worst:.3e}")
 
@@ -165,7 +173,7 @@ def quasi_mvt(samples: int, rng: np.random.Generator) -> SuiteResult:
             slack = 1e-3 * (bb - a)
             lo = ds.min() * (bb - a)
             hi = ds.max() * (bb - a)
-            worst = max(worst, lo - secant - slack, secant - hi - slack)
+            worst = _worse(worst, lo - secant - slack, secant - hi - slack)
     passed = worst <= 0.0
     return SuiteResult("quasi-mvt", passed, f"worst sandwich excess {worst:.3e}")
 
@@ -180,7 +188,7 @@ def estimator_consistency(samples: int, rng: np.random.Generator) -> SuiteResult
         for t in xs:
             analytic = specular_from_one_sided(obj.one_sided([t], [1.0]), 1.0)
             est = fd_specular_directional(obj.value, [t], [1.0])
-            worst = max(worst, abs(est.value - analytic))
+            worst = _worse(worst, abs(est.value - analytic))
     passed = worst <= 1e-5
     return SuiteResult("estimator-consistency", passed, f"worst |fd - analytic| {worst:.3e}")
 
@@ -202,11 +210,14 @@ def basic_inequality(samples: int, rng: np.random.Generator) -> SuiteResult:
     n_problems = max(2, samples // 50)
     iters = 2000
     worst = -math.inf
-    for _ in range(n_problems):
+    for i in range(n_problems):
         lasso = _random_lasso(rng)
         x0 = rng.standard_normal(lasso.dimension)
         record = speg_run(lasso, x0, StepSchedule.normalized_diminishing(4.0), iters)
-        worst = max(worst, basic_inequality_excess(lasso, x0, lasso.minimizer(), record))
+        if record.status == "numerical_failure":  # the bound would be read on the rows before the failure
+            return SuiteResult("basic-inequality", False,
+                               f"numerical failure in problem {i} at row {len(record) - 1}")
+        worst = _worse(worst, basic_inequality_excess(lasso, x0, lasso.minimizer(), record))
     passed = worst <= 1e-9
     return SuiteResult("basic-inequality", passed, f"worst bound violation {worst:.3e}")
 
@@ -223,9 +234,17 @@ SUITES = (
 
 
 def _run_suite(samples: int, seed: int, i: int) -> SuiteResult:
-    """Suite ``SUITES[i]`` on its own stream."""
+    """Suite ``SUITES[i]`` on its own stream.
+
+    A ValueError or ArithmeticError out of the suite, such as a NaN that a
+    library check rejects, fails that suite alone, with one line.
+    """
+    suite = SUITES[i]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
-    return SUITES[i](samples, rng)
+    try:
+        return suite(samples, rng)
+    except (ValueError, ArithmeticError) as err:
+        return SuiteResult(suite.__name__.replace("_", "-"), False, f"raised {type(err).__name__}: {err}")
 
 
 def run_suites(level: str, seed: int = 20_260_810) -> list[SuiteResult]:

@@ -189,15 +189,13 @@ class ElasticNetProblem(_Separable):
         return self._smooth_gradient_at(x, self._residual(x))
 
     def one_sided_basis(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """One-sided partials along every e_i at once."""
-        x = _check_dim(x, self.n)
-        return self._l1_partials(self._smooth_gradient_at(x, self._residual(x)), x)
+        return self.value_and_one_sided_basis(x)[1]
 
     def value_and_one_sided_basis(self, x) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """(value(x), one_sided_basis(x)) from one residual A x - b.
+        """(value(x), one_sided_basis(x)) from one residual A x - b, two products with A.
 
-        Two products with A instead of the three that separate calls make;
-        both results are bit-identical to the separate calls.
+        ``one_sided_basis`` returns these partials; ``value`` keeps its own one
+        product, for the methods that read the value alone, with the same bits.
         """
         x = _check_dim(x, self.n)
         r = self._residual(x)

@@ -84,7 +84,7 @@ def afun(alpha: float, beta: float) -> float:
         out = bfun(alpha * _SCALE, beta * _SCALE, _SCALE)
     else:
         e = alpha * beta - 1.0
-        r = float(np.hypot(e, s))  # same rounding as the vectorized path
+        r = abs(complex(e, s))  # libm's hypot, as np.hypot calls in the vectorized path
         out = (e + r) / s if e >= 0.0 else s / (r - e)
     # round-off must not push the result outside [alpha, beta]
     return min(max(out, alpha), beta)

@@ -5,6 +5,7 @@ basic-inequality runs in the calling process; the six sampling suites run
 together in one forked child when more than one process may run.
 """
 
+import itertools
 import math
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 
 from specopt import checks, specular
 from specopt.cli import main
-from specopt.objectives import ElasticNetProblem, _Separable
+from specopt.objectives import DiagonalLasso, ElasticNetProblem, PiecewiseScalar, _Separable
 
 
 def _results(seed):
@@ -154,3 +155,85 @@ def test_nan_partial_fails_the_check_command_with_one_line(nan_partial, capsys):
     fails = [line for line in lines if line.startswith("[FAIL]")]
     assert len(fails) == 1, fails
     assert fails[0].startswith("[FAIL] subgradient-inequality: no finite specular gradient at sample ")
+
+
+def _nan_at_call(hook, k):
+    """A fused hook whose k-th call (from 1) returns a NaN value with its true partials."""
+    calls = itertools.count(1)
+
+    def nan_hook(self, x):
+        f, partials = hook(self, x)
+        return (math.nan if next(calls) == k else f), partials
+
+    return nan_hook
+
+
+def _nan_mid_slope(self, ts, lateral_slopes=PiecewiseScalar.lateral_slopes):
+    """Lateral slopes with a NaN right slope at the middle point."""
+    right, left = lateral_slopes(self, ts)
+    right[right.size // 2] = math.nan
+    return right, left
+
+
+def _nan_value(self, x):
+    return math.nan
+
+
+def _nan_partials(self, x):
+    return (np.full(self.dimension, math.nan),) * 2
+
+
+# suite: (a maker of the patches that turn its oracle or kernel NaN, the detail it fails with);
+# a maker, so that each test counts calls afresh
+NAN_CASES = {
+    "scalar_identities": (lambda: [(checks, "bfun", lambda a, b, c: math.nan)], r"worst relative form error nan"),
+    "ordering_lemma": (lambda: [(ElasticNetProblem, "value", _nan_value)],
+                       r"worst chain violation nan at \d+ kink coordinates"),
+    "subgradient_inequality": (lambda: [(ElasticNetProblem, "value", _nan_value)],
+                               r"worst inequality slack nan at \d+ kink coordinates, 0 off afun"),
+    "quasi_fermat": (lambda: [(DiagonalLasso, "one_sided_basis", _nan_partials)],
+                     r"raised ValueError: one-sided derivatives must not be NaN"),
+    "quasi_mvt": (lambda: [(PiecewiseScalar, "lateral_slopes", _nan_mid_slope)], r"worst sandwich excess nan"),
+    "estimator_consistency": (lambda: [(PiecewiseScalar, "value", _nan_value)],
+                              r"raised ValueError: value must not be NaN"),
+    "basic_inequality": (lambda: [(DiagonalLasso, "value_and_one_sided_basis",
+                                   _nan_at_call(DiagonalLasso.value_and_one_sided_basis, 5))],
+                         r"numerical failure in problem 0 at row 4"),
+}
+
+
+def _break(monkeypatch, suites):
+    for suite in suites:
+        for owner, attr, replacement in NAN_CASES[suite][0]():
+            monkeypatch.setattr(owner, attr, replacement)
+
+
+@pytest.mark.parametrize("suite", NAN_CASES)
+def test_a_nan_fails_each_suite_with_one_line(monkeypatch, suite):
+    _break(monkeypatch, [suite])
+    result = checks._run_suite(100, 0, [s.__name__ for s in checks.SUITES].index(suite))
+    assert (result.name, result.passed) == (suite.replace("_", "-"), False)
+    assert re.fullmatch(NAN_CASES[suite][1], result.detail), result.detail
+
+
+def test_a_suite_that_raises_another_error_still_raises(monkeypatch):
+    def suite(samples, rng):
+        raise KeyError("not a numerical failure")
+
+    monkeypatch.setattr(checks, "SUITES", (suite,))
+    with pytest.raises(KeyError):
+        checks._run_suite(100, 0, 0)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pooled"])
+def test_nan_oracles_fail_the_check_command_line_by_line(monkeypatch, capsys, threads):
+    monkeypatch.setenv("SPECOPT_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    broken = {"quasi_fermat", "quasi_mvt", "estimator_consistency", "basic_inequality"}
+    _break(monkeypatch, broken)
+    assert main(["check", "--level", "fast"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[{'FAIL' if s.__name__ in broken else 'PASS'}] {s.__name__.replace('_', '-')}" for s in checks.SUITES]

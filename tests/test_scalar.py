@@ -155,6 +155,19 @@ def test_array_kernel_matches_scalar_bitwise():
     assert afun_array(alpha, beta).tobytes() == scal.tobytes()
 
 
+def test_complex_abs_is_numpys_hypot_bitwise():
+    # afun forms hypot(e, s) as abs(complex(e, s)), afun_array as np.hypot(e, s): both call libm's hypot
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                     1e150, -1e150, 1e300, -1e300, 1.0, -1.0, 3.0, 4.0])
+    e, s = np.repeat(edge, edge.size), np.tile(edge, edge.size)  # every pair, ties |e| = |s| included
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-300, 300, 20_000)
+    e = np.concatenate([e, rng.standard_normal(scale.size) * scale])
+    s = np.concatenate([s, rng.standard_normal(scale.size) * scale])
+    scalar = np.array([abs(complex(a, b)) for a, b in zip(e.tolist(), s.tolist())])
+    assert scalar.tobytes() == np.hypot(e, s).tobytes()
+
+
 def test_array_kernel_rejects_nan():
     with pytest.raises(ValueError):
         afun_array(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
