@@ -23,6 +23,7 @@ from .specular import specular_with_norm, vector_norm
 from .specular import specular_gradient  # noqa: F401  not called here; the benchmark tracer patches this name
 
 DEFAULT_ETA = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
 
 def _normalized_diminishing(c: float, k: int, grad_norm: float) -> float:
@@ -235,27 +236,21 @@ def gd_run(obj, x0, h: float, max_iters: int) -> RunRecord:
     return speg_run(obj, x0, StepSchedule.constant(h), max_iters, eta=0.0)
 
 
-def adam_run(obj, x0, lr: float, max_iters: int,
-             beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> RunRecord:
-    """Adam with bias correction, driven by the specular gradient."""
+def adam_run(obj, x0, lr: float, max_iters: int) -> RunRecord:
+    """Adam with bias correction, driven by the specular gradient; beta1, beta2 and eps are fixed."""
     if not 0.0 < lr < math.inf:
         raise ValueError("lr must be positive and finite")
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must lie in [0, 1)")
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     moment = np.zeros_like(x0)
     second = np.zeros_like(x0)
 
     def direction(k, g):
         nonlocal moment, second
-        moment = beta1 * moment + (1.0 - beta1) * g
-        second = beta2 * second + (1.0 - beta2) * g * g
-        m_hat = moment / (1.0 - beta1 ** (k + 1))
-        v_hat = second / (1.0 - beta2 ** (k + 1))
-        return m_hat / (np.sqrt(v_hat) + eps)
+        moment = ADAM_BETA1 * moment + (1.0 - ADAM_BETA1) * g
+        second = ADAM_BETA2 * second + (1.0 - ADAM_BETA2) * g * g
+        m_hat = moment / (1.0 - ADAM_BETA1 ** (k + 1))
+        v_hat = second / (1.0 - ADAM_BETA2 ** (k + 1))
+        return m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     return _run_loop(_value_and_partials(obj), StepSchedule.constant(lr), x0, max_iters, eta=0.0,
                      direction=direction)

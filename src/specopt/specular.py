@@ -144,9 +144,8 @@ def specular_jacobian(components, x) -> np.ndarray:
     return np.vstack(rows)
 
 
-def default_fd_schedule() -> list[float]:
-    """Dyadic step schedule 2^-k for k = 10..24 (about 1e-3 down to 6e-8)."""
-    return [2.0 ** -k for k in range(10, 25)]
+FD_STEPS = tuple(2.0 ** -k for k in range(10, 25))  # the estimator's dyadic steps, about 1e-3 down to 6e-8
+FD_RTOL = 1e-6  # relative agreement of two consecutive estimates that ends the walk
 
 
 @dataclass(frozen=True)
@@ -164,38 +163,30 @@ class FdEstimate:
     last_two: tuple[float, ...]
 
 
-def fd_specular_directional(f, x, v, h_schedule=None, rtol: float = 1e-6) -> FdEstimate:
+def fd_specular_directional(f, x, v) -> FdEstimate:
     """Estimate the specular directional derivative of a callable by finite differences.
 
-    Walks a strictly decreasing step schedule, forming at each h the chord
-    slopes s+ = (f(x+hv)-f(x))/(h|v|) and s- = (f(x)-f(x-hv))/(h|v|) and the
+    Walks the steps ``FD_STEPS``, forming at each h the chord slopes
+    s+ = (f(x+hv)-f(x))/(h|v|) and s- = (f(x)-f(x-hv))/(h|v|) and the
     finite-h value |v| tan(arctan(s+)/2 + arctan(s-)/2).  Accepts the first
-    step at which two consecutive values agree to ``rtol``; otherwise returns
-    a non-converged estimate carrying the last two values.  An empty
-    schedule, a step that is not positive and finite, or one that is not
-    smaller than the step before it, is a ValueError.
+    step at which two consecutive values agree to ``FD_RTOL``; otherwise
+    returns a non-converged estimate carrying the last two values.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     vnorm = vector_norm(v)
     if vnorm == 0.0:
         raise ValueError("direction must be nonzero")
-    h_schedule = default_fd_schedule() if h_schedule is None else [float(h) for h in h_schedule]
-    if not h_schedule or not all(0.0 < h < math.inf for h in h_schedule):
-        raise ValueError("h_schedule must be a nonempty sequence of positive, finite steps")
-    if not all(h < before for before, h in zip(h_schedule, h_schedule[1:])):
-        raise ValueError("h_schedule must be strictly decreasing")
     fx = float(f(x))
     estimates: list[float] = []
-    for h in h_schedule:
+    for h in FD_STEPS:
         slope_plus = promote_extended((float(f(x + h * v)) - fx) / (h * vnorm))
         slope_minus = promote_extended((fx - float(f(x - h * v))) / (h * vnorm))
         est = vnorm * afun_tan_form(slope_plus, slope_minus)
         estimates.append(est)
-        if len(estimates) >= 2 and math.isclose(est, estimates[-2], rel_tol=rtol, abs_tol=1e-12):
+        if len(estimates) >= 2 and math.isclose(est, estimates[-2], rel_tol=FD_RTOL, abs_tol=1e-12):
             return FdEstimate(est, abs(est - estimates[-2]), h, True, (estimates[-2], est))
-    agreement = abs(estimates[-1] - estimates[-2]) if len(estimates) >= 2 else math.inf
-    return FdEstimate(estimates[-1], agreement, h_schedule[-1], False, tuple(estimates[-2:]))
+    return FdEstimate(estimates[-1], abs(estimates[-1] - estimates[-2]), FD_STEPS[-1], False, tuple(estimates[-2:]))
 
 
 def frechet_residual(obj, x, ell, w) -> float:

@@ -192,10 +192,10 @@ NAN_CASES = {
     "subgradient_inequality": (lambda: [(ElasticNetProblem, "value", _nan_value)],
                                r"worst inequality slack nan at \d+ kink coordinates, 0 off afun"),
     "quasi_fermat": (lambda: [(DiagonalLasso, "one_sided_basis", _nan_partials)],
-                     r"raised ValueError: one-sided derivatives must not be NaN"),
+                     r"problem 0 raised ValueError: one-sided derivatives must not be NaN"),
     "quasi_mvt": (lambda: [(PiecewiseScalar, "lateral_slopes", _nan_mid_slope)], r"worst sandwich excess nan"),
     "estimator_consistency": (lambda: [(PiecewiseScalar, "value", _nan_value)],
-                              r"raised ValueError: value must not be NaN"),
+                              r"abs at t = 0\.0 raised ValueError: value must not be NaN"),
     "basic_inequality": (lambda: [(DiagonalLasso, "value_and_one_sided_basis",
                                    _nan_at_call(DiagonalLasso.value_and_one_sided_basis, 5))],
                          r"numerical failure in problem 0 at row 4"),
@@ -214,6 +214,35 @@ def test_a_nan_fails_each_suite_with_one_line(monkeypatch, suite):
     result = checks._run_suite(100, 0, [s.__name__ for s in checks.SUITES].index(suite))
     assert (result.name, result.passed) == (suite.replace("_", "-"), False)
     assert re.fullmatch(NAN_CASES[suite][1], result.detail), result.detail
+
+
+def _nan_partials_from_call(k, one_sided_basis=DiagonalLasso.one_sided_basis):
+    """Partials that turn NaN from the k-th call (from 1) on."""
+    calls = itertools.count(1)
+
+    def partials(self, x):
+        return _nan_partials(self, x) if next(calls) >= k else one_sided_basis(self, x)
+    return partials
+
+
+def _nan_value_of_quad_below(cut, value=PiecewiseScalar.value):
+    def nan_value(self, x):
+        return math.nan if self.name == "quad" and x[0] < cut else value(self, x)
+    return nan_value
+
+
+def test_a_nan_past_the_first_point_is_named_where_it_was_met(monkeypatch):
+    # quasi-Fermat reads the partials 21 times a problem: once for the gradient, then once a direction
+    monkeypatch.setattr(DiagonalLasso, "one_sided_basis", _nan_partials_from_call(2 * 21 + 5))
+    result = checks.quasi_fermat(100, np.random.default_rng(0))
+    assert not result.passed
+    assert result.detail == "problem 2 raised ValueError: plus must not be NaN"
+    # the estimator meets quad's NaN at its first point below the cut, or within its largest step of it
+    monkeypatch.setattr(PiecewiseScalar, "value", _nan_value_of_quad_below(-0.5))
+    result = checks.estimator_consistency(100, np.random.default_rng(0))
+    assert not result.passed
+    match = re.fullmatch(r"quad at t = (\S+) raised ValueError: value must not be NaN", result.detail)
+    assert match and float(match[1]) < -0.5 + 2.0 ** -10, result.detail
 
 
 def test_a_suite_that_raises_another_error_still_raises(monkeypatch):

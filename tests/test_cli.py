@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specopt.specular
-from specopt import checks, cli, harness
+from specopt import checks, cli, harness, objectives
 from specopt.cli import main
 from specopt.harness import ConfigError, ExperimentConfig, run_trials
 from specopt.optimizers import RunRecord
+from specopt.scalar import afun
 
 BASE_CONFIG = {
     "m": 4, "n": 3, "lambda1": 0.1, "lambda2": 1.0,
@@ -506,6 +507,50 @@ class TestWholeBundles:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--l1", "0.1", "--l2", "1"]) == 1
         assert not (out / "index.json").exists() and not (out / ".index.json.tmp").exists()
         _assert_complete_bundle(out / "l1_0.1_l2_1")
+
+
+# the regimes of Tables 2 and 3, with every method each table reports, cut to 2 trials of 500 iterations
+TABLE_REGIMES = {
+    "table2": {"m": 50, "n": 100, "lambda1": 0.01, "lambda2": 1.0, "trials": 2, "max_iters": 500,
+               "methods": ["SPEG-s", "SPEG-g", "GD"], "seed": 31},
+    "table3": {"m": 500, "n": 100, "lambda1": 100.0, "lambda2": 1.0, "trials": 2, "max_iters": 500,
+               "methods": ["SPEG-s", "S-SPEG", "H-SPEG", "GD", "Adam"], "seed": 31},
+}
+
+
+def _counted_midpoint(monkeypatch):
+    """Swap the kink kernel for the midpoint (alpha + beta) / 2; the list returned counts its calls."""
+    calls = []
+
+    def midpoint(alpha, beta):
+        calls.append(np.size(alpha))
+        return (np.asarray(alpha, dtype=float) + beta) / 2.0
+
+    monkeypatch.setattr(specopt.specular, "afun_array", midpoint)
+    return calls
+
+
+class TestTablesNeverAssembleAKink:
+    """The tables' iterates never land on a kink, so the kink rule decides none of their bytes."""
+
+    @pytest.mark.parametrize("table", sorted(TABLE_REGIMES))
+    def test_the_midpoint_rule_gives_the_same_bundle(self, tmp_path, monkeypatch, table):
+        monkeypatch.setenv("SPECOPT_THREADS", "1")  # the trials run here, under the patch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TABLE_REGIMES[table]))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "specular")]) == 0
+        calls = _counted_midpoint(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "midpoint")]) == 0
+        assert calls == []
+        for name in ("stats.json", "trajectories.csv"):
+            assert (tmp_path / "midpoint" / name).read_bytes() == (tmp_path / "specular" / name).read_bytes(), name
+
+    def test_the_midpoint_rule_moves_a_kink(self, monkeypatch):
+        maxaffine = objectives.test_function_1d("maxaffine")
+        assert specopt.specular.specular_gradient(maxaffine, [0.0])[0] == afun(2.0, 1.0) != 1.5
+        calls = _counted_midpoint(monkeypatch)
+        assert specopt.specular.specular_gradient(maxaffine, [0.0])[0] == 1.5
+        assert calls == [1]
 
 
 class TestSweepCommand:

@@ -94,6 +94,16 @@ class TestTanForm:
         assert afun_tan_form(2.0, 1.0) == pytest.approx(AFUN_2_1, abs=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("g", [-2.0, -0.3, 0.3, 2.0])
+def test_l1_kink_closed_form(lam, g):
+    # at a kink of lam |x_i| with smooth partial g the pair is (g + lam, g - lam), and afun is
+    # tan(atan(2g / (1 + lam^2 - g^2)) / 2) while |g| < sqrt(1 + lam^2), about the midpoint g damped
+    # by 1 + lam^2; atan2 carries the angle past pi / 2 beyond that, where g = +-2 is at lam = 0.01 and 1
+    closed = math.tan(0.5 * math.atan2(2.0 * g, 1.0 + lam * lam - g * g))
+    assert afun(g + lam, g - lam) == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
 def test_promotion_threshold():
     assert promote_extended(INFINITY_THRESHOLD) == INF
     assert promote_extended(-INFINITY_THRESHOLD) == -INF
