@@ -14,7 +14,6 @@ from .objectives import (
     ElasticNetProblem,
     Objective,
     PiecewiseScalar,
-    diagonal_lasso_minimizer,
     sum_abs,
 )
 from .optimizers import (
@@ -72,7 +71,6 @@ __all__ = [
     "ElasticNetComponent",
     "DiagonalLasso",
     "PiecewiseScalar",
-    "diagonal_lasso_minimizer",
     "sum_abs",
     "StepSchedule",
     "RunRecord",

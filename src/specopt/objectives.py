@@ -266,22 +266,6 @@ def sum_abs(n: int) -> ElasticNetProblem:
     return ElasticNetProblem(np.zeros((1, n)), np.zeros(1), 1.0, 0.0)
 
 
-def diagonal_lasso_minimizer(d, b, lambda1: float) -> np.ndarray:
-    """Closed-form minimizer of sum_i d_i (x_i - b_i)^2 / 2 + lambda1 |x_i|.
-
-    Per coordinate: soft threshold x_i = sign(b_i) max(|b_i| - lambda1/d_i, 0).
-    """
-    d = np.asarray(d, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.all(d > 0.0):  # NaN fails the comparison
-        raise ValueError("curvatures d must be strictly positive")
-    if not np.isfinite(b).all():
-        raise ValueError("b must be finite")
-    if not lambda1 >= 0.0:
-        raise ValueError("lambda1 must be nonnegative")
-    return np.sign(b) * np.maximum(np.abs(b) - lambda1 / d, 0.0)
-
-
 @dataclass(frozen=True, eq=False)  # == and hash() by identity: its arrays have no truth value
 class DiagonalLasso(_Separable):
     """Separable strongly convex test problem with a known minimizer.
@@ -331,7 +315,8 @@ class DiagonalLasso(_Separable):
         return 0.5 * float(r.dot(g)) + float(x.dot(t)), _l1_one_sided_basis(g, x, self.lambda1, t)
 
     def minimizer(self) -> np.ndarray:
-        return diagonal_lasso_minimizer(self.d, self.b, self.lambda1)
+        """The closed form, per coordinate the soft threshold sign(b_i) max(|b_i| - lambda1/d_i, 0)."""
+        return np.sign(self.b) * np.maximum(np.abs(self.b) - self.lambda1 / self.d, 0.0)
 
 
 @dataclass(frozen=True)

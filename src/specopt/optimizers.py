@@ -112,11 +112,6 @@ class RunRecord:
         return self.f_current.size
 
     @property
-    def iters(self) -> np.ndarray:
-        """The iteration number of each row, 0 to len - 1."""
-        return np.arange(self.f_current.size)
-
-    @property
     def final_f_best(self) -> float:
         return float(self.f_best[-1])
 
@@ -266,7 +261,7 @@ def _stochastic_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_ite
     def partials(x):
         if next(rows) < switch_k:
             return full(x)
-        return float(problem.value(x)), problem.component_one_sided_basis(int(rng.integers(m)), x)
+        return problem.value(x), problem.component_one_sided_basis(int(rng.integers(m)), x)
 
     return _run_loop(partials, sched, x0, max_iters, eta)
 
@@ -285,9 +280,8 @@ def sspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, max_iters: in
     return _stochastic_run(problem, x0, sched, max_iters, eta, rng, switch_k=0)
 
 
-def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int = 10,
-              max_iters: int = 100, eta: float = DEFAULT_ETA,
-              rng: np.random.Generator | None = None) -> RunRecord:
+def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int, max_iters: int,
+              eta: float = DEFAULT_ETA, rng: np.random.Generator | None = None) -> RunRecord:
     """Hybrid method: full specular gradient for the first switch_k steps, stochastic after.
 
     Iteration numbering and the step schedule continue across the switch.
@@ -397,10 +391,8 @@ def basic_inequality_bound(x0, xstar, schedule_trace) -> np.ndarray:
     specular gradient need not be a subgradient, and the bound does not
     apply.  x0 and xstar are finite vectors of one shape.  schedule_trace
     holds the (h_k, grad_norm_k) pairs, each h positive and finite and each
-    norm nonnegative and finite: a (k, 2) array, or any iterable of pairs.
+    norm nonnegative and finite, as a (k, 2) array-like: an array, or a list of pairs.
     """
-    if not isinstance(schedule_trace, np.ndarray):
-        schedule_trace = list(schedule_trace)
     trace = np.asarray(schedule_trace, dtype=float)
     if trace.ndim != 2 or trace.shape[0] == 0 or trace.shape[1] != 2:
         raise ValueError("schedule trace must be a nonempty sequence of (h, grad_norm) pairs")

@@ -43,7 +43,7 @@ def specular_from_one_sided(pair: OneSidedPair, vnorm: float) -> float:
     the same sign violate the existence hypothesis and are rejected.
     """
     vnorm = float(vnorm)
-    if not vnorm > 0.0 or math.isinf(vnorm) or math.isnan(vnorm):
+    if not 0.0 < vnorm < math.inf:
         raise ValueError("vnorm must be a positive finite real")
     plus = promote_extended(pair.plus / vnorm)
     minus = promote_extended(pair.minus / vnorm)

@@ -254,7 +254,7 @@ class TestHugeFiniteInputs:
 
 def _reference_rows(method, trial, rec):
     """One record's CSV rows as the old per-element loop wrote them: the reference for format_trial_rows."""
-    return "".join(f"{method},{trial},{int(rec.iters[i])},"
+    return "".join(f"{method},{trial},{i},"
                    f"{float(rec.f_current[i])!r},{float(rec.f_best[i])!r},{float(rec.grad_norm[i])!r}\n"
                    for i in range(len(rec)))
 

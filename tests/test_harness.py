@@ -227,7 +227,7 @@ class TestRunTrials:
         for method in METHOD_NAMES:
             for a, b in zip(r1[method], r4[method], strict=True):
                 assert a.status == b.status
-                for name in ("iters", "f_current", "f_best", "grad_norm", "x_best", "h_trace"):
+                for name in ("f_current", "f_best", "grad_norm", "x_best", "h_trace"):
                     x, y = getattr(a, name), getattr(b, name)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (method, name)
 

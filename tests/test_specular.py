@@ -80,9 +80,10 @@ class TestAssembly:
         with pytest.raises(HypothesisViolationError):
             specular_from_one_sided(OneSidedPair(-INF, -INF), 1.0)
 
-    def test_bad_norm_rejected(self):
-        with pytest.raises(ValueError):
-            specular_from_one_sided(OneSidedPair(1.0, 1.0), 0.0)
+    @pytest.mark.parametrize("vnorm", [0.0, -1.0, INF, math.nan])
+    def test_bad_norm_rejected(self, vnorm):
+        with pytest.raises(ValueError, match="^vnorm must be a positive finite real$"):
+            specular_from_one_sided(OneSidedPair(1.0, 1.0), vnorm)
 
     def test_array_assembly_matches_scalar(self):
         rng = np.random.default_rng(3)
