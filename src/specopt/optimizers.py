@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,13 @@ class RunRecord:
         return float(self.f_best[-1])
 
 
+def _check_count(value, name: str) -> int:
+    """value as an int, if it is an integer >= 0: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:  # numpy's bool is no Integral
+        raise ValueError(f"{name} must be nonnegative and an integer, got {value!r}")
+    return int(value)
+
+
 # A diverging run overflows to inf or NaN, which the loop reports as a failed
 # run; numpy need not warn about it as well.  Set once per run, not per step.
 @np.errstate(over="ignore", invalid="ignore")
@@ -141,8 +149,7 @@ def _run_loop(partials, sched: StepSchedule, x0, max_iters: int, eta: float,
     them, and stops with status max_iters: the same record the evaluated rows
     would give.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    max_iters = _check_count(max_iters, "max_iters")
     if not eta >= 0.0:  # NaN fails the comparison; a negative eta would step on from a zero gradient
         raise ValueError("eta must be nonnegative")
     x = np.array(x0, dtype=float, copy=True)
@@ -288,8 +295,8 @@ def hspeg_run(problem: ElasticNetProblem, x0, sched: StepSchedule, switch_k: int
     switch_k >= max_iters degenerates to the full method (the generator is
     never consulted); switch_k = 0 degenerates to the stochastic one.
     """
-    if switch_k < 0:
-        raise ValueError("switch_k must be nonnegative")
+    switch_k = _check_count(switch_k, "switch_k")
+    max_iters = _check_count(max_iters, "max_iters")
     if switch_k >= max_iters:
         switch_k = max_iters + 1  # the last row, k = max_iters, stays full as well
     elif rng is None:

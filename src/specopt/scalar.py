@@ -84,7 +84,7 @@ def afun(alpha: float, beta: float) -> float:
         out = bfun(alpha * _SCALE, beta * _SCALE, _SCALE)
     else:
         e = alpha * beta - 1.0
-        r = abs(complex(e, s))  # libm's hypot, as np.hypot calls in the vectorized path
+        r = abs(complex(e, s))  # libm's hypot; math.hypot is another algorithm and would move afun's bits
         out = (e + r) / s if e >= 0.0 else s / (r - e)
     # round-off must not push the result outside [alpha, beta]
     return min(max(out, alpha), beta)
@@ -126,45 +126,13 @@ def bfun(a: float, b: float, c: float) -> float:
     return (c * s) / (root - e)
 
 
-# 0-d operands for afun_array: numpy takes them faster than Python floats, with the same bits
-_ZERO, _ONE = np.array(0.0), np.array(1.0)
-_LOW, _HIGH = np.array(-_HUGE), np.array(_HUGE)
+# afun as a ufunc over object arrays: it broadcasts its two arguments and calls afun once per pair
+_afun_entrywise = np.frompyfunc(afun, 2, 1)
 
 
 def afun_array(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Vectorized afun for extended-real slope arrays, bit-identical to afun entry by entry.
+    """afun applied entry by entry to broadcast slope arrays: a new float array of afun's bits.
 
-    Same branch structure and round-off clamp as the scalar form; entries with a
-    slope past 1e150 (alpha*beta can overflow), infinite ones too, go to afun.  NaN is rejected.
+    A NaN slope raises afun's ValueError.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)  # NaN in either slope is NaN in both
-    tame = (lo >= _LOW) & (hi <= _HIGH)  # NaN fails it too
-    if np.count_nonzero(tame) == tame.size:  # then no step below can overflow or divide by zero
-        return _afun_formula(alpha, beta, lo, hi)
-    if np.isnan(lo).any():
-        raise ValueError("slopes must not be NaN")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _afun_formula(alpha, beta, lo, hi)
-    huge = ~tame
-    out[huge] = [afun(a, b) for a, b in zip(alpha[huge].tolist(), beta[huge].tolist())]
-    return out
-
-
-def _afun_formula(alpha: np.ndarray, beta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """afun's finite-slope arithmetic, entry by entry, with lo and hi the entrywise min and max."""
-    s = alpha + beta
-    e = alpha * beta
-    e -= _ONE
-    r = np.hypot(e, s)
-    grow = e >= _ZERO
-    # each entry divides by its own branch's denominator: s, which is not 0 where alpha beta >= 1,
-    # or r - e, which is at least 1 where alpha beta < 1
-    out = np.where(grow, e + r, s)
-    out /= np.where(grow, s, r - e)
-    # the clamp is afun's min(max(out, lo), hi): a tie keeps out, signed zeros included
-    np.copyto(out, lo, where=out < lo)
-    np.copyto(out, hi, where=out > hi)
-    np.copyto(out, alpha, where=alpha == beta)
-    return out
+    return np.asarray(_afun_entrywise(alpha, beta), dtype=float)

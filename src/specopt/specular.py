@@ -170,10 +170,13 @@ def fd_specular_directional(f, x, v) -> FdEstimate:
     s+ = (f(x+hv)-f(x))/(h|v|) and s- = (f(x)-f(x-hv))/(h|v|) and the
     finite-h value |v| tan(arctan(s+)/2 + arctan(s-)/2).  Accepts the first
     step at which two consecutive values agree to ``FD_RTOL``; otherwise
-    returns a non-converged estimate carrying the last two values.
+    returns a non-converged estimate carrying the last two values.  x and v
+    have one shape.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != x.shape:  # a broadcast would step along another direction than the one measured
+        raise ValueError(f"direction has shape {v.shape}, x has shape {x.shape}")
     vnorm = vector_norm(v)
     if vnorm == 0.0:
         raise ValueError("direction must be nonzero")
@@ -194,11 +197,13 @@ def frechet_residual(obj, x, ell, w) -> float:
 
     Returns |afun((f(x+w)-f(x))/|w|, (f(x)-f(x-w))/|w|) - <ell, w>/|w||.
     A sampled diagnostic: callers shrink w along fixed directions and check
-    that the residual decays.
+    that the residual decays.  x, ell and w have one shape.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     ell = np.atleast_1d(np.asarray(ell, dtype=float))
+    if not x.shape == ell.shape == w.shape:
+        raise ValueError(f"x, ell and w must have one shape, got {x.shape}, {ell.shape} and {w.shape}")
     wnorm = vector_norm(w)
     if wnorm == 0.0:
         raise ValueError("displacement must be nonzero")

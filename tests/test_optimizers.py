@@ -135,6 +135,25 @@ class TestSpegRuns:
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             speg_run(half_square_1d(), [1.0], StepSchedule.normalized_diminishing(4.0), -1)
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 2.5, 3.0, True, np.True_, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("method", ["SPEG", "GD"])
+    def test_a_cap_that_is_not_an_integer_is_rejected(self, method, cap):
+        # the minimizer's first coordinate is the kink at 0, which these steps keep crossing:
+        # the run reaches no fixed point, so a NaN or infinite cap never stopped it
+        lasso = DiagonalLasso(np.array([1.0, 2.0]), np.array([0.05, -1.0]), 0.1)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative and an integer"):
+            if method == "SPEG":
+                speg_run(lasso, [3.0, 3.0], StepSchedule.constant(0.3), cap)
+            else:
+                gd_run(lasso, [3.0, 3.0], 0.3, cap)
+
+    def test_a_numpy_integer_cap_is_an_int_cap(self):
+        sched = StepSchedule.normalized_diminishing(4.0)
+        want = speg_run(half_square_1d(), [1.0], sched, 7)
+        got = speg_run(half_square_1d(), [1.0], sched, np.int64(7))
+        assert len(got) == len(want) == 8
+        assert got.f_current.tobytes() == want.f_current.tobytes()
+
     @pytest.mark.parametrize("eta", [-1.0, math.nan])
     def test_negative_or_nan_eta_rejected(self, eta):
         # at the zero gradient of x0 = b these ran on into a ZeroDivisionError
@@ -447,6 +466,15 @@ class TestHybridRuns:
         full = speg_run(p, x0, sched, 30)
         assert np.array_equal(hybrid.f_current[:10], full.f_current[:10])
         assert len(hybrid) == 31  # continuous numbering across the switch
+
+    @pytest.mark.parametrize("name, value", [("switch_k", math.nan), ("switch_k", 2.5), ("switch_k", True),
+                                             ("max_iters", math.nan), ("max_iters", math.inf)])
+    def test_a_switch_or_cap_that_is_not_an_integer_is_rejected(self, name, value):
+        # switch_k = nan failed every k < switch_k test and silently ran S-SPEG
+        p, x0 = self._problem()
+        counts = {"switch_k": 3, "max_iters": 10, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and an integer"):
+            hspeg_run(p, x0, StepSchedule.normalized_diminishing(4.0), rng=rng_for(1), **counts)
 
     def test_switch_and_cap_are_required(self):
         p, x0 = self._problem()

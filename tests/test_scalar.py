@@ -165,24 +165,46 @@ def test_array_kernel_matches_scalar_bitwise():
     assert afun_array(alpha, beta).tobytes() == scal.tobytes()
 
 
-def test_complex_abs_is_numpys_hypot_bitwise():
-    # afun forms hypot(e, s) as abs(complex(e, s)), afun_array as np.hypot(e, s): both call libm's hypot
-    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-                     1e150, -1e150, 1e300, -1e300, 1.0, -1.0, 3.0, 4.0])
-    e, s = np.repeat(edge, edge.size), np.tile(edge, edge.size)  # every pair, ties |e| = |s| included
-    rng = np.random.default_rng(11)
-    scale = 10.0 ** rng.uniform(-300, 300, 20_000)
-    e = np.concatenate([e, rng.standard_normal(scale.size) * scale])
-    s = np.concatenate([s, rng.standard_normal(scale.size) * scale])
-    scalar = np.array([abs(complex(a, b)) for a, b in zip(e.tolist(), s.tolist())])
-    assert scalar.tobytes() == np.hypot(e, s).tobytes()
-
-
 def test_array_kernel_rejects_nan():
     with pytest.raises(ValueError):
         afun_array(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        afun_array(np.array([0.0, 0.0]), np.array([1.0, math.nan]))
     # infinite slopes are afun's: its limiting values, bit for bit
     for alpha, beta in ((math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf), (-math.inf, math.inf),
                         (math.inf, -0.0), (-1e200, math.inf)):
         got = afun_array(np.array([alpha]), np.array([beta]))
         assert got.tobytes() == np.array([afun(alpha, beta)]).tobytes()
+
+
+class TestArrayKernelContract:
+    def test_a_0d_slope_broadcasts_against_a_vector(self):
+        beta = np.array([-3.0, -0.0, 0.5, 2.0, 1e200, INF])
+        want = np.array([afun(1.5, b) for b in beta.tolist()])
+        assert afun_array(np.array(1.5), beta).tobytes() == want.tobytes()
+        assert afun_array(beta, 1.5).tobytes() == want.tobytes()
+        both = afun_array(np.array(2.0), np.array(1.0))
+        assert both.shape == () and both.dtype == np.float64 and float(both) == afun(2.0, 1.0)
+
+    def test_shapes_that_do_not_broadcast_are_rejected(self):
+        with pytest.raises(ValueError):
+            afun_array(np.ones(3), np.ones(2))
+
+    def test_empty_input_gives_an_empty_float_array(self):
+        out = afun_array(np.empty(0), np.empty(0))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_a_2d_input_keeps_its_shape(self):
+        rng = np.random.default_rng(3)
+        alpha, beta = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        out = afun_array(alpha, beta)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        want = [afun(a, b) for a, b in zip(alpha.ravel().tolist(), beta.ravel().tolist())]
+        assert out.ravel().tobytes() == np.array(want).tobytes()
+
+    def test_the_result_is_a_new_array(self):
+        alpha, beta = np.array([1.0, 2.0, -4.0]), np.array([1.0, 3.0, 4.0])
+        out = afun_array(alpha, beta)
+        assert not np.shares_memory(out, alpha) and not np.shares_memory(out, beta)
+        out[:] = 7.0
+        assert alpha.tolist() == [1.0, 2.0, -4.0] and beta.tolist() == [1.0, 3.0, 4.0]

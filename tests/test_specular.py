@@ -301,6 +301,12 @@ class TestFdEstimator:
         with pytest.raises(ValueError):
             fd_specular_directional(lambda z: 0.0, [0.0], [0.0])
 
+    @pytest.mark.parametrize("x, v", [([0.0, 0.5], [1.0]), ([0.0], [1.0, 1.0]), ([[0.0, 0.5]], [1.0, 1.0])])
+    def test_a_direction_of_another_shape_is_rejected(self, x, v):
+        # sum |z_i| of any shape: a broadcast [1.0] would step along (1, 1) and divide by |v| = 1
+        with pytest.raises(ValueError, match="shape"):
+            fd_specular_directional(lambda z: float(np.abs(z).sum()), x, v)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_directions_whose_squares_under_or_overflow(self, scale):
@@ -417,6 +423,12 @@ class TestFrechetResidual:
         obj = objectives.test_function_1d("abs")
         with pytest.raises(ValueError):
             frechet_residual(obj, [0.0], [0.0], [0.0])
+
+    @pytest.mark.parametrize("x, ell, w", [([0.5, 0.5], [1.0], [1e-3]), ([0.5, 0.5], [1.0, 1.0], [1e-3]),
+                                           ([0.5, 0.5], [1.0], [1e-3, 1e-3]), ([0.5], [1.0, 1.0], [1e-3, 1e-3])])
+    def test_vectors_of_another_shape_are_rejected(self, x, ell, w):
+        with pytest.raises(ValueError, match="one shape"):
+            frechet_residual(sum_abs(2), x, ell, w)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_displacements_whose_squares_under_or_overflow(self):
